@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use seesaw_trace::{Collect, MetricsRegistry};
-
 /// Per-region stream state.
 #[derive(Debug, Clone, Copy)]
 struct Stream {
@@ -20,20 +18,14 @@ struct Stream {
     confirmed: bool,
 }
 
-/// Prefetch statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Prefetches issued.
-    pub issued: u64,
-    /// Demand accesses that hit a prefetched line before eviction.
-    pub useful: u64,
-}
-
-impl Collect for PrefetchStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let PrefetchStats { issued, useful } = *self;
-        out.set_u64(&format!("{prefix}.issued"), issued);
-        out.set_u64(&format!("{prefix}.useful"), useful);
+seesaw_trace::counters! {
+    /// Prefetch statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PrefetchStats {
+        /// Prefetches issued.
+        pub issued: u64,
+        /// Demand accesses that hit a prefetched line before eviction.
+        pub useful: u64,
     }
 }
 

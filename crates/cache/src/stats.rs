@@ -1,30 +1,31 @@
 //! Cache access counters.
 
-use seesaw_trace::{Collect, MetricsRegistry};
-
-/// Hit/miss/energy-relevant counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand accesses that hit.
-    pub hits: u64,
-    /// Demand accesses that missed.
-    pub misses: u64,
-    /// Lines filled.
-    pub fills: u64,
-    /// Valid lines evicted.
-    pub evictions: u64,
-    /// Dirty lines written back.
-    pub writebacks: u64,
-    /// Total ways probed across all demand accesses — the quantity that
-    /// sets dynamic lookup energy (each probed way reads a tag + data
-    /// sub-array in a latency-optimized parallel-access L1, §III-B).
-    pub ways_probed: u64,
-    /// Coherence probes received.
-    pub coherence_probes: u64,
-    /// Ways probed by coherence lookups.
-    pub coherence_ways_probed: u64,
-    /// Lines invalidated by coherence.
-    pub coherence_invalidations: u64,
+seesaw_trace::counters! {
+    /// Hit/miss/energy-relevant counters for one cache.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Demand accesses that hit.
+        pub hits: u64,
+        /// Demand accesses that missed.
+        pub misses: u64,
+        /// Lines filled.
+        pub fills: u64,
+        /// Valid lines evicted.
+        pub evictions: u64,
+        /// Dirty lines written back.
+        pub writebacks: u64,
+        /// Total ways probed across all demand accesses — the quantity that
+        /// sets dynamic lookup energy (each probed way reads a tag + data
+        /// sub-array in a latency-optimized parallel-access L1, §III-B).
+        pub ways_probed: u64,
+        /// Coherence probes received.
+        pub coherence_probes: u64,
+        /// Ways probed by coherence lookups.
+        pub coherence_ways_probed: u64,
+        /// Lines invalidated by coherence.
+        pub coherence_invalidations: u64,
+    }
+    derived: miss_rate, avg_ways_probed;
 }
 
 impl CacheStats {
@@ -51,23 +52,6 @@ impl CacheStats {
         }
     }
 
-    /// Fieldwise difference versus an earlier snapshot (for measuring a
-    /// window that starts after warmup).
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            fills: self.fills - earlier.fills,
-            evictions: self.evictions - earlier.evictions,
-            writebacks: self.writebacks - earlier.writebacks,
-            ways_probed: self.ways_probed - earlier.ways_probed,
-            coherence_probes: self.coherence_probes - earlier.coherence_probes,
-            coherence_ways_probed: self.coherence_ways_probed - earlier.coherence_ways_probed,
-            coherence_invalidations: self.coherence_invalidations
-                - earlier.coherence_invalidations,
-        }
-    }
-
     /// Mean ways probed per demand access.
     pub fn avg_ways_probed(&self) -> f64 {
         if self.accesses() == 0 {
@@ -75,39 +59,6 @@ impl CacheStats {
         } else {
             self.ways_probed as f64 / self.accesses() as f64
         }
-    }
-}
-
-impl Collect for CacheStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let CacheStats {
-            hits,
-            misses,
-            fills,
-            evictions,
-            writebacks,
-            ways_probed,
-            coherence_probes,
-            coherence_ways_probed,
-            coherence_invalidations,
-        } = *self;
-        out.set_u64(&format!("{prefix}.hits"), hits);
-        out.set_u64(&format!("{prefix}.misses"), misses);
-        out.set_u64(&format!("{prefix}.fills"), fills);
-        out.set_u64(&format!("{prefix}.evictions"), evictions);
-        out.set_u64(&format!("{prefix}.writebacks"), writebacks);
-        out.set_u64(&format!("{prefix}.ways_probed"), ways_probed);
-        out.set_u64(&format!("{prefix}.coherence_probes"), coherence_probes);
-        out.set_u64(
-            &format!("{prefix}.coherence_ways_probed"),
-            coherence_ways_probed,
-        );
-        out.set_u64(
-            &format!("{prefix}.coherence_invalidations"),
-            coherence_invalidations,
-        );
-        out.set_f64(&format!("{prefix}.miss_rate"), self.miss_rate());
-        out.set_f64(&format!("{prefix}.avg_ways_probed"), self.avg_ways_probed());
     }
 }
 

@@ -86,20 +86,23 @@ impl MruWayPredictor {
     }
 }
 
-/// Way-predictor counters in exportable form, shared by every predictor
-/// flavor ([`MruWayPredictor`], [`crate::MicroTagPredictor`]); collected
-/// into the metrics registry as `l1.waypred.*`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WayPredictionStats {
-    /// Predictions that named the way that actually hit.
-    pub hits: u64,
-    /// Trained predictions that named the wrong way.
-    pub mispredictions: u64,
-    /// Accesses with no prediction available (untrained context).
-    pub cold: u64,
-    /// Mispredictions caused by a virtual alias (µtag matched, physical
-    /// tag did not) — zero for physically-verified MRU prediction.
-    pub alias_mispredicts: u64,
+seesaw_trace::counters! {
+    /// Way-predictor counters in exportable form, shared by every predictor
+    /// flavor ([`MruWayPredictor`], [`crate::MicroTagPredictor`]); collected
+    /// into the metrics registry as `l1.waypred.*`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WayPredictionStats {
+        /// Predictions that named the way that actually hit.
+        pub hits: u64,
+        /// Trained predictions that named the wrong way.
+        pub mispredictions: u64,
+        /// Accesses with no prediction available (untrained context).
+        pub cold: u64,
+        /// Mispredictions caused by a virtual alias (µtag matched, physical
+        /// tag did not) — zero for physically-verified MRU prediction.
+        pub alias_mispredicts: u64,
+    }
+    derived: accuracy;
 }
 
 impl WayPredictionStats {
@@ -116,22 +119,6 @@ impl WayPredictionStats {
     /// Total predictions issued (trained or cold).
     pub fn total(&self) -> u64 {
         self.hits + self.mispredictions + self.cold
-    }
-}
-
-impl seesaw_trace::Collect for WayPredictionStats {
-    fn collect(&self, prefix: &str, out: &mut seesaw_trace::MetricsRegistry) {
-        let WayPredictionStats {
-            hits,
-            mispredictions,
-            cold,
-            alias_mispredicts,
-        } = *self;
-        out.set_u64(&format!("{prefix}.hits"), hits);
-        out.set_u64(&format!("{prefix}.mispredictions"), mispredictions);
-        out.set_u64(&format!("{prefix}.cold"), cold);
-        out.set_u64(&format!("{prefix}.alias_mispredicts"), alias_mispredicts);
-        out.set_f64(&format!("{prefix}.accuracy"), self.accuracy());
     }
 }
 

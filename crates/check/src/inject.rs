@@ -211,35 +211,32 @@ impl FaultConfig {
     }
 }
 
-/// Counts of faults actually fired, by kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InjectionStats {
-    /// Splinters fired.
-    pub splinters: u64,
-    /// Promotions fired.
-    pub promotions: u64,
-    /// Spurious TLB shootdowns fired.
-    pub shootdowns: u64,
-    /// TFT conflict storms fired.
-    pub tft_storms: u64,
-    /// Context switches fired.
-    pub context_switches: u64,
-    /// Memory-pressure grabs fired.
-    pub mem_pressure: u64,
-    /// Memory-pressure releases fired.
-    pub mem_releases: u64,
+seesaw_trace::counters! {
+    /// Counts of faults actually fired, by kind.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct InjectionStats {
+        /// Splinters fired.
+        pub splinters: u64,
+        /// Promotions fired.
+        pub promotions: u64,
+        /// Spurious TLB shootdowns fired.
+        pub shootdowns: u64,
+        /// TFT conflict storms fired.
+        pub tft_storms: u64,
+        /// Context switches fired.
+        pub context_switches: u64,
+        /// Memory-pressure grabs fired.
+        pub mem_pressure: u64,
+        /// Memory-pressure releases fired.
+        pub mem_releases: u64,
+    }
+    derived: total;
 }
 
 impl InjectionStats {
     /// Total faults fired across every kind.
     pub fn total(&self) -> u64 {
-        self.splinters
-            + self.promotions
-            + self.shootdowns
-            + self.tft_storms
-            + self.context_switches
-            + self.mem_pressure
-            + self.mem_releases
+        seesaw_trace::Counter::sum_leaves(self)
     }
 
     fn bump(&mut self, kind: FaultKind) {
@@ -252,28 +249,6 @@ impl InjectionStats {
             FaultKind::MemPressure => self.mem_pressure += 1,
             FaultKind::MemRelease => self.mem_releases += 1,
         }
-    }
-}
-
-impl seesaw_trace::Collect for InjectionStats {
-    fn collect(&self, prefix: &str, out: &mut seesaw_trace::MetricsRegistry) {
-        let InjectionStats {
-            splinters,
-            promotions,
-            shootdowns,
-            tft_storms,
-            context_switches,
-            mem_pressure,
-            mem_releases,
-        } = *self;
-        out.set_u64(&format!("{prefix}.splinters"), splinters);
-        out.set_u64(&format!("{prefix}.promotions"), promotions);
-        out.set_u64(&format!("{prefix}.shootdowns"), shootdowns);
-        out.set_u64(&format!("{prefix}.tft_storms"), tft_storms);
-        out.set_u64(&format!("{prefix}.context_switches"), context_switches);
-        out.set_u64(&format!("{prefix}.mem_pressure"), mem_pressure);
-        out.set_u64(&format!("{prefix}.mem_releases"), mem_releases);
-        out.set_u64(&format!("{prefix}.total"), self.total());
     }
 }
 

@@ -81,38 +81,34 @@ impl ViolationKind {
     }
 }
 
-/// Per-invariant violation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ViolationCounters {
-    /// [`ViolationKind::StaleTranslation`] occurrences.
-    pub stale_translation: u64,
-    /// [`ViolationKind::TftClaimsBasePage`] occurrences.
-    pub tft_claims_base_page: u64,
-    /// [`ViolationKind::DataDivergence`] occurrences.
-    pub data_divergence: u64,
-    /// [`ViolationKind::UseAfterFree`] occurrences.
-    pub use_after_free: u64,
-    /// [`ViolationKind::SweptLineResident`] occurrences.
-    pub swept_line_resident: u64,
-    /// [`ViolationKind::PartitionUnreachable`] occurrences.
-    pub partition_unreachable: u64,
-    /// [`ViolationKind::StalePhysicalMapping`] occurrences.
-    pub stale_physical_mapping: u64,
-    /// [`ViolationKind::WayPredictionAlias`] occurrences.
-    pub way_prediction_alias: u64,
+seesaw_trace::counters! {
+    /// Per-invariant violation counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ViolationCounters {
+        /// [`ViolationKind::StaleTranslation`] occurrences.
+        pub stale_translation: u64,
+        /// [`ViolationKind::TftClaimsBasePage`] occurrences.
+        pub tft_claims_base_page: u64,
+        /// [`ViolationKind::DataDivergence`] occurrences.
+        pub data_divergence: u64,
+        /// [`ViolationKind::UseAfterFree`] occurrences.
+        pub use_after_free: u64,
+        /// [`ViolationKind::SweptLineResident`] occurrences.
+        pub swept_line_resident: u64,
+        /// [`ViolationKind::PartitionUnreachable`] occurrences.
+        pub partition_unreachable: u64,
+        /// [`ViolationKind::StalePhysicalMapping`] occurrences.
+        pub stale_physical_mapping: u64,
+        /// [`ViolationKind::WayPredictionAlias`] occurrences.
+        pub way_prediction_alias: u64,
+    }
+    derived: total;
 }
 
 impl ViolationCounters {
     /// Total violations across every invariant.
     pub fn total(&self) -> u64 {
-        self.stale_translation
-            + self.tft_claims_base_page
-            + self.data_divergence
-            + self.use_after_free
-            + self.swept_line_resident
-            + self.partition_unreachable
-            + self.stale_physical_mapping
-            + self.way_prediction_alias
+        seesaw_trace::Counter::sum_leaves(self)
     }
 
     fn bump(&mut self, kind: ViolationKind) {
@@ -126,42 +122,6 @@ impl ViolationCounters {
             ViolationKind::StalePhysicalMapping => self.stale_physical_mapping += 1,
             ViolationKind::WayPredictionAlias => self.way_prediction_alias += 1,
         }
-    }
-}
-
-impl seesaw_trace::Collect for ViolationCounters {
-    fn collect(&self, prefix: &str, out: &mut seesaw_trace::MetricsRegistry) {
-        let ViolationCounters {
-            stale_translation,
-            tft_claims_base_page,
-            data_divergence,
-            use_after_free,
-            swept_line_resident,
-            partition_unreachable,
-            stale_physical_mapping,
-            way_prediction_alias,
-        } = *self;
-        out.set_u64(&format!("{prefix}.stale_translation"), stale_translation);
-        out.set_u64(
-            &format!("{prefix}.tft_claims_base_page"),
-            tft_claims_base_page,
-        );
-        out.set_u64(&format!("{prefix}.data_divergence"), data_divergence);
-        out.set_u64(&format!("{prefix}.use_after_free"), use_after_free);
-        out.set_u64(&format!("{prefix}.swept_line_resident"), swept_line_resident);
-        out.set_u64(
-            &format!("{prefix}.partition_unreachable"),
-            partition_unreachable,
-        );
-        out.set_u64(
-            &format!("{prefix}.stale_physical_mapping"),
-            stale_physical_mapping,
-        );
-        out.set_u64(
-            &format!("{prefix}.way_prediction_alias"),
-            way_prediction_alias,
-        );
-        out.set_u64(&format!("{prefix}.total"), self.total());
     }
 }
 
@@ -265,31 +225,18 @@ pub struct AccessCheck {
     pub is_write: bool,
 }
 
-/// Summary counters of a completed checker run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckerSummary {
-    /// Loads verified against the shadow model.
-    pub loads_checked: u64,
-    /// Stores recorded into the shadow model.
-    pub stores_tracked: u64,
-    /// Structural audits performed after dangerous transitions.
-    pub audits: u64,
-    /// Per-invariant violation counts (all zero on a clean run).
-    pub violations: ViolationCounters,
-}
-
-impl seesaw_trace::Collect for CheckerSummary {
-    fn collect(&self, prefix: &str, out: &mut seesaw_trace::MetricsRegistry) {
-        let CheckerSummary {
-            loads_checked,
-            stores_tracked,
-            audits,
-            violations,
-        } = *self;
-        out.set_u64(&format!("{prefix}.loads_checked"), loads_checked);
-        out.set_u64(&format!("{prefix}.stores_tracked"), stores_tracked);
-        out.set_u64(&format!("{prefix}.audits"), audits);
-        violations.collect(&format!("{prefix}.violations"), out);
+seesaw_trace::counters! {
+    /// Summary counters of a completed checker run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CheckerSummary {
+        /// Loads verified against the shadow model.
+        pub loads_checked: u64,
+        /// Stores recorded into the shadow model.
+        pub stores_tracked: u64,
+        /// Structural audits performed after dangerous transitions.
+        pub audits: u64,
+        /// Per-invariant violation counts (all zero on a clean run).
+        pub violations: ViolationCounters,
     }
 }
 

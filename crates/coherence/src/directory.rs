@@ -9,7 +9,6 @@
 use std::collections::HashMap;
 
 use seesaw_cache::{CacheConfig, MoesiState, SetAssocCache, WayMask};
-use seesaw_trace::{Collect, MetricsRegistry};
 
 use crate::protocol;
 
@@ -22,35 +21,20 @@ pub enum CoherenceMode {
     Snoopy,
 }
 
-/// Aggregate probe statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoherenceStats {
-    /// Coherence transactions processed (read/write misses + upgrades).
-    pub transactions: u64,
-    /// L1 probes delivered to peer caches.
-    pub probes_delivered: u64,
-    /// Ways probed across all deliveries (the energy-relevant count).
-    pub probe_ways: u64,
-    /// Lines invalidated in peers.
-    pub invalidations: u64,
-    /// Dirty lines written back due to remote writes.
-    pub writebacks: u64,
-}
-
-impl Collect for CoherenceStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let CoherenceStats {
-            transactions,
-            probes_delivered,
-            probe_ways,
-            invalidations,
-            writebacks,
-        } = *self;
-        out.set_u64(&format!("{prefix}.transactions"), transactions);
-        out.set_u64(&format!("{prefix}.probes_delivered"), probes_delivered);
-        out.set_u64(&format!("{prefix}.probe_ways"), probe_ways);
-        out.set_u64(&format!("{prefix}.invalidations"), invalidations);
-        out.set_u64(&format!("{prefix}.writebacks"), writebacks);
+seesaw_trace::counters! {
+    /// Aggregate probe statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CoherenceStats {
+        /// Coherence transactions processed (read/write misses + upgrades).
+        pub transactions: u64,
+        /// L1 probes delivered to peer caches.
+        pub probes_delivered: u64,
+        /// Ways probed across all deliveries (the energy-relevant count).
+        pub probe_ways: u64,
+        /// Lines invalidated in peers.
+        pub invalidations: u64,
+        /// Dirty lines written back due to remote writes.
+        pub writebacks: u64,
     }
 }
 

@@ -5,7 +5,6 @@ use seesaw_cache::{
     SetAssocCache, WayMask, WayPredictionStats,
 };
 use seesaw_mem::{PageSize, PageTableOp, PhysAddr, VirtAddr};
-use seesaw_trace::{Collect, MetricsRegistry};
 
 use crate::{
     InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
@@ -91,44 +90,31 @@ impl SeesawConfig {
     }
 }
 
-/// SEESAW-specific counters (on top of the cache array's [`CacheStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeesawStats {
-    /// Table I case: superpage, TFT hit, cache hit.
-    pub super_tft_hit_cache_hit: u64,
-    /// Table I case: superpage, TFT hit, cache miss.
-    pub super_tft_hit_cache_miss: u64,
-    /// Table I case: superpage access the TFT missed.
-    pub super_tft_miss: u64,
-    /// Table I case: base-page access.
-    pub base_page: u64,
-    /// Among [`SeesawStats::super_tft_miss`], how many also missed the L1
-    /// (Fig. 13's red bars — the misses that don't hurt, because the L2
-    /// trip dwarfs the extra partition probe).
-    pub super_tft_miss_l1_miss: u64,
-    /// Promotion sweeps executed.
-    pub sweeps: u64,
-    /// Lines evicted by promotion sweeps.
-    pub swept_lines: u64,
+seesaw_trace::counters! {
+    /// SEESAW-specific counters (on top of the cache array's [`CacheStats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SeesawStats {
+        /// Table I case: superpage, TFT hit, cache hit.
+        pub super_tft_hit_cache_hit: u64,
+        /// Table I case: superpage, TFT hit, cache miss.
+        pub super_tft_hit_cache_miss: u64,
+        /// Table I case: superpage access the TFT missed.
+        pub super_tft_miss: u64,
+        /// Table I case: base-page access.
+        pub base_page: u64,
+        /// Among [`SeesawStats::super_tft_miss`], how many also missed the L1
+        /// (Fig. 13's red bars — the misses that don't hurt, because the L2
+        /// trip dwarfs the extra partition probe).
+        pub super_tft_miss_l1_miss: u64,
+        /// Promotion sweeps executed.
+        pub sweeps: u64,
+        /// Lines evicted by promotion sweeps.
+        pub swept_lines: u64,
+    }
+    derived: tft_miss_fraction_of_super;
 }
 
 impl SeesawStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &SeesawStats) -> SeesawStats {
-        SeesawStats {
-            super_tft_hit_cache_hit: self.super_tft_hit_cache_hit
-                - earlier.super_tft_hit_cache_hit,
-            super_tft_hit_cache_miss: self.super_tft_hit_cache_miss
-                - earlier.super_tft_hit_cache_miss,
-            super_tft_miss: self.super_tft_miss - earlier.super_tft_miss,
-            base_page: self.base_page - earlier.base_page,
-            super_tft_miss_l1_miss: self.super_tft_miss_l1_miss
-                - earlier.super_tft_miss_l1_miss,
-            sweeps: self.sweeps - earlier.sweeps,
-            swept_lines: self.swept_lines - earlier.swept_lines,
-        }
-    }
-
     /// Fraction of superpage accesses the TFT failed to identify
     /// (Fig. 13's metric).
     pub fn tft_miss_fraction_of_super(&self) -> f64 {
@@ -139,40 +125,6 @@ impl SeesawStats {
         } else {
             self.super_tft_miss as f64 / supers as f64
         }
-    }
-}
-
-impl Collect for SeesawStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let SeesawStats {
-            super_tft_hit_cache_hit,
-            super_tft_hit_cache_miss,
-            super_tft_miss,
-            base_page,
-            super_tft_miss_l1_miss,
-            sweeps,
-            swept_lines,
-        } = *self;
-        out.set_u64(
-            &format!("{prefix}.super_tft_hit_cache_hit"),
-            super_tft_hit_cache_hit,
-        );
-        out.set_u64(
-            &format!("{prefix}.super_tft_hit_cache_miss"),
-            super_tft_hit_cache_miss,
-        );
-        out.set_u64(&format!("{prefix}.super_tft_miss"), super_tft_miss);
-        out.set_u64(&format!("{prefix}.base_page"), base_page);
-        out.set_u64(
-            &format!("{prefix}.super_tft_miss_l1_miss"),
-            super_tft_miss_l1_miss,
-        );
-        out.set_u64(&format!("{prefix}.sweeps"), sweeps);
-        out.set_u64(&format!("{prefix}.swept_lines"), swept_lines);
-        out.set_f64(
-            &format!("{prefix}.tft_miss_fraction_of_super"),
-            self.tft_miss_fraction_of_super(),
-        );
     }
 }
 

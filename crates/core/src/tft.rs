@@ -8,36 +8,27 @@
 //! size of an 8-entry L1 TLB".
 
 use seesaw_mem::{PageSize, VirtAddr, VirtPage};
-use seesaw_trace::{Collect, MetricsRegistry};
 
-/// TFT access counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TftStats {
-    /// Lookups that matched a superpage region.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Fills (each displaces the slot's previous occupant).
-    pub fills: u64,
-    /// Targeted invalidations (superpage splintering, `invlpg`).
-    pub invalidations: u64,
-    /// Full flushes (context switches — the TFT carries no ASIDs, a
-    /// deliberate area/performance trade-off, §IV-C3).
-    pub flushes: u64,
+seesaw_trace::counters! {
+    /// TFT access counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TftStats {
+        /// Lookups that matched a superpage region.
+        pub hits: u64,
+        /// Lookups that missed.
+        pub misses: u64,
+        /// Fills (each displaces the slot's previous occupant).
+        pub fills: u64,
+        /// Targeted invalidations (superpage splintering, `invlpg`).
+        pub invalidations: u64,
+        /// Full flushes (context switches — the TFT carries no ASIDs, a
+        /// deliberate area/performance trade-off, §IV-C3).
+        pub flushes: u64,
+    }
+    derived: hit_rate;
 }
 
 impl TftStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &TftStats) -> TftStats {
-        TftStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            fills: self.fills - earlier.fills,
-            invalidations: self.invalidations - earlier.invalidations,
-            flushes: self.flushes - earlier.flushes,
-        }
-    }
-
     /// Hit rate over all lookups.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -46,24 +37,6 @@ impl TftStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-}
-
-impl Collect for TftStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let TftStats {
-            hits,
-            misses,
-            fills,
-            invalidations,
-            flushes,
-        } = *self;
-        out.set_u64(&format!("{prefix}.hits"), hits);
-        out.set_u64(&format!("{prefix}.misses"), misses);
-        out.set_u64(&format!("{prefix}.fills"), fills);
-        out.set_u64(&format!("{prefix}.invalidations"), invalidations);
-        out.set_u64(&format!("{prefix}.flushes"), flushes);
-        out.set_f64(&format!("{prefix}.hit_rate"), self.hit_rate());
     }
 }
 

@@ -17,7 +17,6 @@
 
 use seesaw_cache::{CacheStats, MoesiState, ResidentLine, SetAssocCache};
 use seesaw_mem::{PageTableOp, PhysAddr};
-use seesaw_trace::{Collect, MetricsRegistry};
 
 use crate::{
     InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
@@ -52,37 +51,28 @@ impl VespaConfig {
     }
 }
 
-/// VESPA-specific counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VespaStats {
-    /// Superpage accesses served by the narrow parallel probe that hit.
-    pub super_fast_hits: u64,
-    /// Superpage accesses served by the narrow parallel probe that missed.
-    pub super_fast_misses: u64,
-    /// Base-page accesses (full-set lookup).
-    pub base_accesses: u64,
-    /// Ways probed by narrow parallel probes that were discarded because
-    /// the translation said base page — VESPA's energy tax.
-    pub wasted_probe_ways: u64,
-    /// Promotion sweeps executed.
-    pub sweeps: u64,
-    /// Lines evicted by promotion sweeps.
-    pub swept_lines: u64,
+seesaw_trace::counters! {
+    /// VESPA-specific counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct VespaStats {
+        /// Superpage accesses served by the narrow parallel probe that hit.
+        pub super_fast_hits: u64,
+        /// Superpage accesses served by the narrow parallel probe that missed.
+        pub super_fast_misses: u64,
+        /// Base-page accesses (full-set lookup).
+        pub base_accesses: u64,
+        /// Ways probed by narrow parallel probes that were discarded because
+        /// the translation said base page — VESPA's energy tax.
+        pub wasted_probe_ways: u64,
+        /// Promotion sweeps executed.
+        pub sweeps: u64,
+        /// Lines evicted by promotion sweeps.
+        pub swept_lines: u64,
+    }
+    derived: fast_fraction;
 }
 
 impl VespaStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &VespaStats) -> VespaStats {
-        VespaStats {
-            super_fast_hits: self.super_fast_hits - earlier.super_fast_hits,
-            super_fast_misses: self.super_fast_misses - earlier.super_fast_misses,
-            base_accesses: self.base_accesses - earlier.base_accesses,
-            wasted_probe_ways: self.wasted_probe_ways - earlier.wasted_probe_ways,
-            sweeps: self.sweeps - earlier.sweeps,
-            swept_lines: self.swept_lines - earlier.swept_lines,
-        }
-    }
-
     /// Fraction of accesses that took the fast superpage path.
     pub fn fast_fraction(&self) -> f64 {
         let total = self.super_fast_hits + self.super_fast_misses + self.base_accesses;
@@ -91,26 +81,6 @@ impl VespaStats {
         } else {
             (self.super_fast_hits + self.super_fast_misses) as f64 / total as f64
         }
-    }
-}
-
-impl Collect for VespaStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let VespaStats {
-            super_fast_hits,
-            super_fast_misses,
-            base_accesses,
-            wasted_probe_ways,
-            sweeps,
-            swept_lines,
-        } = *self;
-        out.set_u64(&format!("{prefix}.super_fast_hits"), super_fast_hits);
-        out.set_u64(&format!("{prefix}.super_fast_misses"), super_fast_misses);
-        out.set_u64(&format!("{prefix}.base_accesses"), base_accesses);
-        out.set_u64(&format!("{prefix}.wasted_probe_ways"), wasted_probe_ways);
-        out.set_u64(&format!("{prefix}.sweeps"), sweeps);
-        out.set_u64(&format!("{prefix}.swept_lines"), swept_lines);
-        out.set_f64(&format!("{prefix}.fast_fraction"), self.fast_fraction());
     }
 }
 

@@ -17,36 +17,22 @@ use std::collections::HashMap;
 
 use seesaw_cache::{CacheConfig, CacheStats, IndexPolicy, SetAssocCache, WayMask};
 use seesaw_mem::{PageTableOp, PhysAddr};
-use seesaw_trace::{Collect, MetricsRegistry};
 
 use crate::{L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
 
-/// Counters for the synonym machinery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SynonymStats {
-    /// Accesses whose VA missed but whose PA was cached under another VA
-    /// (a synonym hit → remap).
-    pub synonym_remaps: u64,
-    /// Coherence probes resolved through the reverse map.
-    pub reverse_lookups: u64,
-    /// Page-table operations that triggered a back-pointer sweep.
-    pub mapping_sweeps: u64,
-    /// Lines evicted by those sweeps.
-    pub swept_lines: u64,
-}
-
-impl Collect for SynonymStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let SynonymStats {
-            synonym_remaps,
-            reverse_lookups,
-            mapping_sweeps,
-            swept_lines,
-        } = *self;
-        out.set_u64(&format!("{prefix}.synonym_remaps"), synonym_remaps);
-        out.set_u64(&format!("{prefix}.reverse_lookups"), reverse_lookups);
-        out.set_u64(&format!("{prefix}.mapping_sweeps"), mapping_sweeps);
-        out.set_u64(&format!("{prefix}.swept_lines"), swept_lines);
+seesaw_trace::counters! {
+    /// Counters for the synonym machinery.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SynonymStats {
+        /// Accesses whose VA missed but whose PA was cached under another VA
+        /// (a synonym hit → remap).
+        pub synonym_remaps: u64,
+        /// Coherence probes resolved through the reverse map.
+        pub reverse_lookups: u64,
+        /// Page-table operations that triggered a back-pointer sweep.
+        pub mapping_sweeps: u64,
+        /// Lines evicted by those sweeps.
+        pub swept_lines: u64,
     }
 }
 

@@ -1,16 +1,17 @@
 //! The CPU timing-model interface.
 
-use seesaw_trace::{Collect, MetricsRegistry};
-
-/// Final totals of a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunTotals {
-    /// Cycles elapsed.
-    pub cycles: u64,
-    /// Instructions retired (memory references + gap instructions).
-    pub instructions: u64,
-    /// Squash/replay events charged.
-    pub squashes: u64,
+seesaw_trace::counters! {
+    /// Final totals of a run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct RunTotals {
+        /// Cycles elapsed.
+        pub cycles: u64,
+        /// Instructions retired (memory references + gap instructions).
+        pub instructions: u64,
+        /// Squash/replay events charged.
+        pub squashes: u64,
+    }
+    derived: ipc, cpi;
 }
 
 impl RunTotals {
@@ -30,21 +31,6 @@ impl RunTotals {
         } else {
             self.cycles as f64 / self.instructions as f64
         }
-    }
-}
-
-impl Collect for RunTotals {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let RunTotals {
-            cycles,
-            instructions,
-            squashes,
-        } = *self;
-        out.set_u64(&format!("{prefix}.cycles"), cycles);
-        out.set_u64(&format!("{prefix}.instructions"), instructions);
-        out.set_u64(&format!("{prefix}.squashes"), squashes);
-        out.set_f64(&format!("{prefix}.ipc"), self.ipc());
-        out.set_f64(&format!("{prefix}.cpi"), self.cpi());
     }
 }
 

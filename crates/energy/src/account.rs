@@ -2,29 +2,30 @@
 //! the paper reports (CPU-side vs coherence, Fig. 11; whole hierarchy,
 //! Fig. 10).
 
-use seesaw_trace::{Collect, MetricsRegistry};
-
 use crate::EnergyModel;
 
-/// Accumulated energy, in nJ, split by source.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EnergyBreakdown {
-    /// L1 dynamic energy from CPU-side lookups.
-    pub l1_cpu_nj: f64,
-    /// L1 dynamic energy from coherence lookups.
-    pub l1_coherence_nj: f64,
-    /// L1 fill energy.
-    pub l1_fill_nj: f64,
-    /// TLB + page-walk energy.
-    pub translation_nj: f64,
-    /// TFT lookup energy (SEESAW only).
-    pub tft_nj: f64,
-    /// L2 + LLC dynamic energy.
-    pub outer_cache_nj: f64,
-    /// DRAM access energy.
-    pub dram_nj: f64,
-    /// Leakage over the run.
-    pub leakage_nj: f64,
+seesaw_trace::counters! {
+    /// Accumulated energy, in nJ, split by source.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct EnergyBreakdown {
+        /// L1 dynamic energy from CPU-side lookups.
+        pub l1_cpu_nj: f64,
+        /// L1 dynamic energy from coherence lookups.
+        pub l1_coherence_nj: f64,
+        /// L1 fill energy.
+        pub l1_fill_nj: f64,
+        /// TLB + page-walk energy.
+        pub translation_nj: f64,
+        /// TFT lookup energy (SEESAW only).
+        pub tft_nj: f64,
+        /// L2 + LLC dynamic energy.
+        pub outer_cache_nj: f64,
+        /// DRAM access energy.
+        pub dram_nj: f64,
+        /// Leakage over the run.
+        pub leakage_nj: f64,
+    }
+    derived: total_nj;
 }
 
 impl EnergyBreakdown {
@@ -51,30 +52,6 @@ impl EnergyBreakdown {
         }
         let coh = (coh_saving / total_saving).clamp(0.0, 1.0);
         (1.0 - coh, coh)
-    }
-}
-
-impl Collect for EnergyBreakdown {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let EnergyBreakdown {
-            l1_cpu_nj,
-            l1_coherence_nj,
-            l1_fill_nj,
-            translation_nj,
-            tft_nj,
-            outer_cache_nj,
-            dram_nj,
-            leakage_nj,
-        } = *self;
-        out.set_f64(&format!("{prefix}.l1_cpu_nj"), l1_cpu_nj);
-        out.set_f64(&format!("{prefix}.l1_coherence_nj"), l1_coherence_nj);
-        out.set_f64(&format!("{prefix}.l1_fill_nj"), l1_fill_nj);
-        out.set_f64(&format!("{prefix}.translation_nj"), translation_nj);
-        out.set_f64(&format!("{prefix}.tft_nj"), tft_nj);
-        out.set_f64(&format!("{prefix}.outer_cache_nj"), outer_cache_nj);
-        out.set_f64(&format!("{prefix}.dram_nj"), dram_nj);
-        out.set_f64(&format!("{prefix}.leakage_nj"), leakage_nj);
-        out.set_f64(&format!("{prefix}.total_nj"), self.total_nj());
     }
 }
 

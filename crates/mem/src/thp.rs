@@ -5,8 +5,6 @@
 //! whenever the buddy allocator can produce an order-9 block, with direct
 //! compaction attempted on failure, and 4 KB fallback otherwise.
 
-use seesaw_trace::{Collect, MetricsRegistry};
-
 use crate::{CompactionOutcome, Compactor, FrameState, MemError, PageSize, PhysicalMemory};
 
 /// THP policy for a mapping, mirroring Linux's per-VMA settings.
@@ -21,20 +19,23 @@ pub enum ThpPolicy {
     Never,
 }
 
-/// Counters describing how a region ended up backed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThpStats {
-    /// 2 MB pages allocated directly.
-    pub super_direct: u64,
-    /// 2 MB pages allocated only after a compaction run.
-    pub super_after_compaction: u64,
-    /// 4 KB fallback pages allocated.
-    pub base_fallback: u64,
-    /// Compaction runs triggered.
-    pub compaction_runs: u64,
-    /// 2 MB-aligned slices that wanted a superpage but were demoted to
-    /// base pages (graceful degradation under fragmentation/OOM).
-    pub demoted_slices: u64,
+seesaw_trace::counters! {
+    /// Counters describing how a region ended up backed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ThpStats {
+        /// 2 MB pages allocated directly.
+        pub super_direct: u64,
+        /// 2 MB pages allocated only after a compaction run.
+        pub super_after_compaction: u64,
+        /// 4 KB fallback pages allocated.
+        pub base_fallback: u64,
+        /// Compaction runs triggered.
+        pub compaction_runs: u64,
+        /// 2 MB-aligned slices that wanted a superpage but were demoted to
+        /// base pages (graceful degradation under fragmentation/OOM).
+        pub demoted_slices: u64,
+    }
+    derived: superpage_fraction;
 }
 
 impl ThpStats {
@@ -47,30 +48,6 @@ impl ThpStats {
             return 0.0;
         }
         super_bytes as f64 / (super_bytes + base_bytes) as f64
-    }
-}
-
-impl Collect for ThpStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let ThpStats {
-            super_direct,
-            super_after_compaction,
-            base_fallback,
-            compaction_runs,
-            demoted_slices,
-        } = *self;
-        out.set_u64(&format!("{prefix}.super_direct"), super_direct);
-        out.set_u64(
-            &format!("{prefix}.super_after_compaction"),
-            super_after_compaction,
-        );
-        out.set_u64(&format!("{prefix}.base_fallback"), base_fallback);
-        out.set_u64(&format!("{prefix}.compaction_runs"), compaction_runs);
-        out.set_u64(&format!("{prefix}.demoted_slices"), demoted_slices);
-        out.set_f64(
-            &format!("{prefix}.superpage_fraction"),
-            self.superpage_fraction(),
-        );
     }
 }
 

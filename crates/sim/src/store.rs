@@ -50,26 +50,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use seesaw_cache::CacheStats;
-use seesaw_check::{CheckerSummary, InjectionStats, ReproBundle, Violation, ViolationKind};
-use seesaw_coherence::CoherenceStats;
-use seesaw_core::{SeesawStats, TftStats};
-use seesaw_cpu::RunTotals;
-use seesaw_energy::EnergyBreakdown;
-use seesaw_tlb::TlbStats;
-use seesaw_trace::{Collect, Log2Histogram, MetricsRegistry, MetricValue};
+use seesaw_check::{ReproBundle, Violation, ViolationKind};
+use seesaw_trace::{Collect, Counter, Log2Histogram, MetricValue, MetricsRegistry};
 
 use crate::stats::{CoreResult, Sample};
 use crate::{RunResult, SimError};
 
 const MAGIC: &str = "seesaw-store";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Shared record IO: one wire format for every on-disk record.
 //
 // The store and the distributed fabric (`crate::fabric`) write the same
-// shape of file — `seesaw-store 1 <kind> <len> <crc16hex>\n` followed by
+// shape of file — `seesaw-store 2 <kind> <len> <crc16hex>\n` followed by
 // the payload and a trailing newline — committed via a private tmp file
 // and an atomic rename. These free helpers are the single
 // implementation; `Store` layers its journal and traffic counters on
@@ -537,6 +531,8 @@ impl Enc {
 
 pub(crate) struct Dec<'a> {
     map: HashMap<&'a str, &'a str>,
+    /// Lines in the payload: an upper bound on any honest length field.
+    lines: usize,
 }
 
 pub(crate) type DecErr = String;
@@ -544,12 +540,14 @@ pub(crate) type DecErr = String;
 impl<'a> Dec<'a> {
     pub(crate) fn new(payload: &'a str) -> Dec<'a> {
         let mut map = HashMap::new();
+        let mut lines = 0;
         for line in payload.lines() {
+            lines += 1;
             if let Some((k, v)) = line.split_once(' ') {
                 map.insert(k, v);
             }
         }
-        Dec { map }
+        Dec { map, lines }
     }
 
     pub(crate) fn raw(&self, key: &str) -> Result<&'a str, DecErr> {
@@ -563,6 +561,17 @@ impl<'a> Dec<'a> {
         self.raw(key)?
             .parse()
             .map_err(|_| format!("key {key:?}: bad integer"))
+    }
+
+    /// A length field: every element takes at least one payload line, so
+    /// a length above the line count is corrupt (and would otherwise
+    /// drive an unbounded allocation).
+    pub(crate) fn len(&self, key: &str) -> Result<usize, DecErr> {
+        let n = self.u(key)?;
+        if n > self.lines as u64 {
+            return Err(format!("key {key:?}: length {n} exceeds the payload"));
+        }
+        Ok(n as usize)
     }
 
     fn f(&self, key: &str) -> Result<f64, DecErr> {
@@ -604,184 +613,51 @@ fn parse_f(v: &str) -> Option<f64> {
     u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
 }
 
-fn enc_totals(e: &mut Enc, p: &str, t: &RunTotals) {
-    let RunTotals {
-        cycles,
-        instructions,
-        squashes,
-    } = *t;
-    e.u(&format!("{p}.cycles"), cycles);
-    e.u(&format!("{p}.instructions"), instructions);
-    e.u(&format!("{p}.squashes"), squashes);
+/// Writes every leaf of a counter struct as `{p}.{field path}`: the one
+/// encoder for every `counters!` type, so record keys are registry names.
+fn enc_counters<C: Counter>(e: &mut Enc, p: &str, c: &C) {
+    c.visit(&mut p.to_string(), &mut |key, value| match value {
+        MetricValue::U64(v) => e.u(key, v),
+        MetricValue::F64(v) => e.f(key, v),
+    });
 }
 
-fn dec_totals(d: &Dec, p: &str) -> Result<RunTotals, DecErr> {
-    Ok(RunTotals {
-        cycles: d.u(&format!("{p}.cycles"))?,
-        instructions: d.u(&format!("{p}.instructions"))?,
-        squashes: d.u(&format!("{p}.squashes"))?,
-    })
+/// The inverse of [`enc_counters`]: every leaf must be present.
+fn dec_counters<C: Counter>(d: &Dec, p: &str) -> Result<C, DecErr> {
+    let mut c = C::default();
+    let mut error = None;
+    c.visit_mut(&mut p.to_string(), &mut |key, slot| {
+        let value = match slot {
+            MetricValue::U64(_) => d.u(key).map(MetricValue::U64),
+            MetricValue::F64(_) => d.f(key).map(MetricValue::F64),
+        };
+        match value {
+            Ok(v) => *slot = v,
+            Err(err) => {
+                error.get_or_insert(err);
+            }
+        }
+    });
+    error.map_or(Ok(c), Err)
 }
 
-fn enc_cache(e: &mut Enc, p: &str, c: &CacheStats) {
-    let CacheStats {
-        hits,
-        misses,
-        fills,
-        evictions,
-        writebacks,
-        ways_probed,
-        coherence_probes,
-        coherence_ways_probed,
-        coherence_invalidations,
-    } = *c;
-    e.u(&format!("{p}.hits"), hits);
-    e.u(&format!("{p}.misses"), misses);
-    e.u(&format!("{p}.fills"), fills);
-    e.u(&format!("{p}.evictions"), evictions);
-    e.u(&format!("{p}.writebacks"), writebacks);
-    e.u(&format!("{p}.ways_probed"), ways_probed);
-    e.u(&format!("{p}.coherence_probes"), coherence_probes);
-    e.u(&format!("{p}.coherence_ways_probed"), coherence_ways_probed);
-    e.u(
-        &format!("{p}.coherence_invalidations"),
-        coherence_invalidations,
-    );
+/// An optional counter struct: a `some`/`none` marker line at `p`, then
+/// the leaves when present.
+fn enc_opt<C: Counter>(e: &mut Enc, p: &str, c: Option<&C>) {
+    match c {
+        Some(c) => {
+            e.line(p, "some");
+            enc_counters(e, p, c);
+        }
+        None => e.line(p, "none"),
+    }
 }
 
-fn dec_cache(d: &Dec, p: &str) -> Result<CacheStats, DecErr> {
-    Ok(CacheStats {
-        hits: d.u(&format!("{p}.hits"))?,
-        misses: d.u(&format!("{p}.misses"))?,
-        fills: d.u(&format!("{p}.fills"))?,
-        evictions: d.u(&format!("{p}.evictions"))?,
-        writebacks: d.u(&format!("{p}.writebacks"))?,
-        ways_probed: d.u(&format!("{p}.ways_probed"))?,
-        coherence_probes: d.u(&format!("{p}.coherence_probes"))?,
-        coherence_ways_probed: d.u(&format!("{p}.coherence_ways_probed"))?,
-        coherence_invalidations: d.u(&format!("{p}.coherence_invalidations"))?,
-    })
-}
-
-fn enc_tlb(e: &mut Enc, p: &str, t: &TlbStats) {
-    let TlbStats {
-        hits,
-        misses,
-        fills,
-        evictions,
-        invalidations,
-        flushes,
-    } = *t;
-    e.u(&format!("{p}.hits"), hits);
-    e.u(&format!("{p}.misses"), misses);
-    e.u(&format!("{p}.fills"), fills);
-    e.u(&format!("{p}.evictions"), evictions);
-    e.u(&format!("{p}.invalidations"), invalidations);
-    e.u(&format!("{p}.flushes"), flushes);
-}
-
-fn dec_tlb(d: &Dec, p: &str) -> Result<TlbStats, DecErr> {
-    Ok(TlbStats {
-        hits: d.u(&format!("{p}.hits"))?,
-        misses: d.u(&format!("{p}.misses"))?,
-        fills: d.u(&format!("{p}.fills"))?,
-        evictions: d.u(&format!("{p}.evictions"))?,
-        invalidations: d.u(&format!("{p}.invalidations"))?,
-        flushes: d.u(&format!("{p}.flushes"))?,
-    })
-}
-
-fn enc_seesaw(e: &mut Enc, p: &str, s: &SeesawStats) {
-    let SeesawStats {
-        super_tft_hit_cache_hit,
-        super_tft_hit_cache_miss,
-        super_tft_miss,
-        base_page,
-        super_tft_miss_l1_miss,
-        sweeps,
-        swept_lines,
-    } = *s;
-    e.u(&format!("{p}.super_tft_hit_cache_hit"), super_tft_hit_cache_hit);
-    e.u(
-        &format!("{p}.super_tft_hit_cache_miss"),
-        super_tft_hit_cache_miss,
-    );
-    e.u(&format!("{p}.super_tft_miss"), super_tft_miss);
-    e.u(&format!("{p}.base_page"), base_page);
-    e.u(&format!("{p}.super_tft_miss_l1_miss"), super_tft_miss_l1_miss);
-    e.u(&format!("{p}.sweeps"), sweeps);
-    e.u(&format!("{p}.swept_lines"), swept_lines);
-}
-
-fn dec_seesaw(d: &Dec, p: &str) -> Result<SeesawStats, DecErr> {
-    Ok(SeesawStats {
-        super_tft_hit_cache_hit: d.u(&format!("{p}.super_tft_hit_cache_hit"))?,
-        super_tft_hit_cache_miss: d.u(&format!("{p}.super_tft_hit_cache_miss"))?,
-        super_tft_miss: d.u(&format!("{p}.super_tft_miss"))?,
-        base_page: d.u(&format!("{p}.base_page"))?,
-        super_tft_miss_l1_miss: d.u(&format!("{p}.super_tft_miss_l1_miss"))?,
-        sweeps: d.u(&format!("{p}.sweeps"))?,
-        swept_lines: d.u(&format!("{p}.swept_lines"))?,
-    })
-}
-
-fn enc_tft(e: &mut Enc, p: &str, t: &TftStats) {
-    let TftStats {
-        hits,
-        misses,
-        fills,
-        invalidations,
-        flushes,
-    } = *t;
-    e.u(&format!("{p}.hits"), hits);
-    e.u(&format!("{p}.misses"), misses);
-    e.u(&format!("{p}.fills"), fills);
-    e.u(&format!("{p}.invalidations"), invalidations);
-    e.u(&format!("{p}.flushes"), flushes);
-}
-
-fn dec_tft(d: &Dec, p: &str) -> Result<TftStats, DecErr> {
-    Ok(TftStats {
-        hits: d.u(&format!("{p}.hits"))?,
-        misses: d.u(&format!("{p}.misses"))?,
-        fills: d.u(&format!("{p}.fills"))?,
-        invalidations: d.u(&format!("{p}.invalidations"))?,
-        flushes: d.u(&format!("{p}.flushes"))?,
-    })
-}
-
-fn enc_energy(e: &mut Enc, p: &str, en: &EnergyBreakdown) {
-    let EnergyBreakdown {
-        l1_cpu_nj,
-        l1_coherence_nj,
-        l1_fill_nj,
-        translation_nj,
-        tft_nj,
-        outer_cache_nj,
-        dram_nj,
-        leakage_nj,
-    } = *en;
-    e.f(&format!("{p}.l1_cpu_nj"), l1_cpu_nj);
-    e.f(&format!("{p}.l1_coherence_nj"), l1_coherence_nj);
-    e.f(&format!("{p}.l1_fill_nj"), l1_fill_nj);
-    e.f(&format!("{p}.translation_nj"), translation_nj);
-    e.f(&format!("{p}.tft_nj"), tft_nj);
-    e.f(&format!("{p}.outer_cache_nj"), outer_cache_nj);
-    e.f(&format!("{p}.dram_nj"), dram_nj);
-    e.f(&format!("{p}.leakage_nj"), leakage_nj);
-}
-
-fn dec_energy(d: &Dec, p: &str) -> Result<EnergyBreakdown, DecErr> {
-    Ok(EnergyBreakdown {
-        l1_cpu_nj: d.f(&format!("{p}.l1_cpu_nj"))?,
-        l1_coherence_nj: d.f(&format!("{p}.l1_coherence_nj"))?,
-        l1_fill_nj: d.f(&format!("{p}.l1_fill_nj"))?,
-        translation_nj: d.f(&format!("{p}.translation_nj"))?,
-        tft_nj: d.f(&format!("{p}.tft_nj"))?,
-        outer_cache_nj: d.f(&format!("{p}.outer_cache_nj"))?,
-        dram_nj: d.f(&format!("{p}.dram_nj"))?,
-        leakage_nj: d.f(&format!("{p}.leakage_nj"))?,
-    })
+fn dec_opt<C: Counter>(d: &Dec, p: &str) -> Result<Option<C>, DecErr> {
+    match d.raw(p)? {
+        "none" => Ok(None),
+        _ => dec_counters(d, p).map(Some),
+    }
 }
 
 fn enc_hist(e: &mut Enc, p: &str, h: &Log2Histogram) {
@@ -812,113 +688,6 @@ fn dec_hist(d: &Dec, p: &str) -> Result<Log2Histogram, DecErr> {
     Ok(Log2Histogram::from_parts(buckets, count, sum))
 }
 
-fn enc_injection(e: &mut Enc, p: &str, s: &InjectionStats) {
-    let InjectionStats {
-        splinters,
-        promotions,
-        shootdowns,
-        tft_storms,
-        context_switches,
-        mem_pressure,
-        mem_releases,
-    } = *s;
-    e.u(&format!("{p}.splinters"), splinters);
-    e.u(&format!("{p}.promotions"), promotions);
-    e.u(&format!("{p}.shootdowns"), shootdowns);
-    e.u(&format!("{p}.tft_storms"), tft_storms);
-    e.u(&format!("{p}.context_switches"), context_switches);
-    e.u(&format!("{p}.mem_pressure"), mem_pressure);
-    e.u(&format!("{p}.mem_releases"), mem_releases);
-}
-
-fn dec_injection(d: &Dec, p: &str) -> Result<InjectionStats, DecErr> {
-    Ok(InjectionStats {
-        splinters: d.u(&format!("{p}.splinters"))?,
-        promotions: d.u(&format!("{p}.promotions"))?,
-        shootdowns: d.u(&format!("{p}.shootdowns"))?,
-        tft_storms: d.u(&format!("{p}.tft_storms"))?,
-        context_switches: d.u(&format!("{p}.context_switches"))?,
-        mem_pressure: d.u(&format!("{p}.mem_pressure"))?,
-        mem_releases: d.u(&format!("{p}.mem_releases"))?,
-    })
-}
-
-fn enc_checker(e: &mut Enc, p: &str, c: &CheckerSummary) {
-    let CheckerSummary {
-        loads_checked,
-        stores_tracked,
-        audits,
-        violations,
-    } = *c;
-    e.u(&format!("{p}.loads_checked"), loads_checked);
-    e.u(&format!("{p}.stores_tracked"), stores_tracked);
-    e.u(&format!("{p}.audits"), audits);
-    let seesaw_check::ViolationCounters {
-        stale_translation,
-        tft_claims_base_page,
-        data_divergence,
-        use_after_free,
-        swept_line_resident,
-        partition_unreachable,
-        stale_physical_mapping,
-        way_prediction_alias,
-    } = violations;
-    e.u(&format!("{p}.v.stale_translation"), stale_translation);
-    e.u(&format!("{p}.v.tft_claims_base_page"), tft_claims_base_page);
-    e.u(&format!("{p}.v.data_divergence"), data_divergence);
-    e.u(&format!("{p}.v.use_after_free"), use_after_free);
-    e.u(&format!("{p}.v.swept_line_resident"), swept_line_resident);
-    e.u(&format!("{p}.v.partition_unreachable"), partition_unreachable);
-    e.u(&format!("{p}.v.stale_physical_mapping"), stale_physical_mapping);
-    e.u(&format!("{p}.v.way_prediction_alias"), way_prediction_alias);
-}
-
-fn dec_checker(d: &Dec, p: &str) -> Result<CheckerSummary, DecErr> {
-    Ok(CheckerSummary {
-        loads_checked: d.u(&format!("{p}.loads_checked"))?,
-        stores_tracked: d.u(&format!("{p}.stores_tracked"))?,
-        audits: d.u(&format!("{p}.audits"))?,
-        violations: seesaw_check::ViolationCounters {
-            stale_translation: d.u(&format!("{p}.v.stale_translation"))?,
-            tft_claims_base_page: d.u(&format!("{p}.v.tft_claims_base_page"))?,
-            data_divergence: d.u(&format!("{p}.v.data_divergence"))?,
-            use_after_free: d.u(&format!("{p}.v.use_after_free"))?,
-            swept_line_resident: d.u(&format!("{p}.v.swept_line_resident"))?,
-            partition_unreachable: d.u(&format!("{p}.v.partition_unreachable"))?,
-            stale_physical_mapping: d.u(&format!("{p}.v.stale_physical_mapping"))?,
-            // Absent from records persisted before the way-prediction
-            // invariant existed; treat those as zero rather than refusing
-            // to resume the sweep.
-            way_prediction_alias: d.u(&format!("{p}.v.way_prediction_alias")).unwrap_or(0),
-        },
-    })
-}
-
-fn enc_coherence(e: &mut Enc, p: &str, c: &CoherenceStats) {
-    let CoherenceStats {
-        transactions,
-        probes_delivered,
-        probe_ways,
-        invalidations,
-        writebacks,
-    } = *c;
-    e.u(&format!("{p}.transactions"), transactions);
-    e.u(&format!("{p}.probes_delivered"), probes_delivered);
-    e.u(&format!("{p}.probe_ways"), probe_ways);
-    e.u(&format!("{p}.invalidations"), invalidations);
-    e.u(&format!("{p}.writebacks"), writebacks);
-}
-
-fn dec_coherence(d: &Dec, p: &str) -> Result<CoherenceStats, DecErr> {
-    Ok(CoherenceStats {
-        transactions: d.u(&format!("{p}.transactions"))?,
-        probes_delivered: d.u(&format!("{p}.probes_delivered"))?,
-        probe_ways: d.u(&format!("{p}.probe_ways"))?,
-        invalidations: d.u(&format!("{p}.invalidations"))?,
-        writebacks: d.u(&format!("{p}.writebacks"))?,
-    })
-}
-
 fn enc_samples(e: &mut Enc, p: &str, samples: &[Sample]) {
     e.u(&format!("{p}.len"), samples.len() as u64);
     for (i, s) in samples.iter().enumerate() {
@@ -941,7 +710,7 @@ fn enc_samples(e: &mut Enc, p: &str, samples: &[Sample]) {
 }
 
 fn dec_samples(d: &Dec, p: &str) -> Result<Vec<Sample>, DecErr> {
-    let len = d.u(&format!("{p}.len"))? as usize;
+    let len = d.len(&format!("{p}.len"))?;
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
         let q = format!("{p}.{i}");
@@ -1014,52 +783,34 @@ fn enc_core(e: &mut Enc, p: &str, c: &CoreResult) {
         samples,
     } = c;
     e.u(&format!("{p}.core"), *core as u64);
-    enc_totals(e, &format!("{p}.totals"), totals);
-    enc_cache(e, &format!("{p}.l1"), l1);
-    enc_tlb(e, &format!("{p}.tlb_l1"), tlb_l1);
+    enc_counters(e, &format!("{p}.totals"), totals);
+    enc_counters(e, &format!("{p}.l1"), l1);
+    enc_counters(e, &format!("{p}.tlb_l1"), tlb_l1);
     e.u(&format!("{p}.walks"), *walks);
-    enc_seesaw(e, &format!("{p}.seesaw"), seesaw);
-    enc_tft(e, &format!("{p}.tft"), tft);
+    enc_counters(e, &format!("{p}.seesaw"), seesaw);
+    enc_counters(e, &format!("{p}.tft"), tft);
     e.u(&format!("{p}.coherence_probes"), *coherence_probes);
     e.f(&format!("{p}.superpage_ref_fraction"), *superpage_ref_fraction);
     e.opt_f(&format!("{p}.way_prediction_accuracy"), *way_prediction_accuracy);
-    match faults {
-        Some(f) => {
-            e.line(&format!("{p}.faults"), "some");
-            enc_injection(e, &format!("{p}.faults"), f);
-        }
-        None => e.line(&format!("{p}.faults"), "none"),
-    }
-    match checker {
-        Some(c) => {
-            e.line(&format!("{p}.checker"), "some");
-            enc_checker(e, &format!("{p}.checker"), c);
-        }
-        None => e.line(&format!("{p}.checker"), "none"),
-    }
+    enc_opt(e, &format!("{p}.faults"), faults.as_ref());
+    enc_opt(e, &format!("{p}.checker"), checker.as_ref());
     enc_samples(e, &format!("{p}.samples"), samples);
 }
 
 fn dec_core(d: &Dec, p: &str) -> Result<CoreResult, DecErr> {
     Ok(CoreResult {
         core: d.u(&format!("{p}.core"))? as usize,
-        totals: dec_totals(d, &format!("{p}.totals"))?,
-        l1: dec_cache(d, &format!("{p}.l1"))?,
-        tlb_l1: dec_tlb(d, &format!("{p}.tlb_l1"))?,
+        totals: dec_counters(d, &format!("{p}.totals"))?,
+        l1: dec_counters(d, &format!("{p}.l1"))?,
+        tlb_l1: dec_counters(d, &format!("{p}.tlb_l1"))?,
         walks: d.u(&format!("{p}.walks"))?,
-        seesaw: dec_seesaw(d, &format!("{p}.seesaw"))?,
-        tft: dec_tft(d, &format!("{p}.tft"))?,
+        seesaw: dec_counters(d, &format!("{p}.seesaw"))?,
+        tft: dec_counters(d, &format!("{p}.tft"))?,
         coherence_probes: d.u(&format!("{p}.coherence_probes"))?,
         superpage_ref_fraction: d.f(&format!("{p}.superpage_ref_fraction"))?,
         way_prediction_accuracy: d.opt_f(&format!("{p}.way_prediction_accuracy"))?,
-        faults: match d.raw(&format!("{p}.faults"))? {
-            "none" => None,
-            _ => Some(dec_injection(d, &format!("{p}.faults"))?),
-        },
-        checker: match d.raw(&format!("{p}.checker"))? {
-            "none" => None,
-            _ => Some(dec_checker(d, &format!("{p}.checker"))?),
-        },
+        faults: dec_opt(d, &format!("{p}.faults"))?,
+        checker: dec_opt(d, &format!("{p}.checker"))?,
         samples: dec_samples(d, &format!("{p}.samples"))?,
     })
 }
@@ -1098,45 +849,27 @@ fn encode_result(fingerprint: &str, r: &RunResult) -> Option<String> {
         return None;
     }
     let mut e = Enc::new(fingerprint);
-    enc_totals(&mut e, "totals", totals);
+    enc_counters(&mut e, "totals", totals);
     e.f("runtime_ns", *runtime_ns);
-    enc_energy(&mut e, "energy", energy);
-    enc_cache(&mut e, "l1", l1);
+    enc_counters(&mut e, "energy", energy);
+    enc_counters(&mut e, "l1", l1);
     e.f("l1_mpki", *l1_mpki);
-    enc_tlb(&mut e, "tlb_l1", tlb_l1);
+    enc_counters(&mut e, "tlb_l1", tlb_l1);
     e.u("walks", *walks);
-    enc_seesaw(&mut e, "seesaw", seesaw);
-    enc_tft(&mut e, "tft", tft);
+    enc_counters(&mut e, "seesaw", seesaw);
+    enc_counters(&mut e, "tft", tft);
     e.f("superpage_coverage", *superpage_coverage);
     e.f("superpage_ref_fraction", *superpage_ref_fraction);
     e.opt_f("way_prediction_accuracy", *way_prediction_accuracy);
     e.u("coherence_probes", *coherence_probes);
     e.u("demotions", *demotions);
-    match faults {
-        Some(f) => {
-            e.line("faults", "some");
-            enc_injection(&mut e, "faults", f);
-        }
-        None => e.line("faults", "none"),
-    }
-    match checker {
-        Some(c) => {
-            e.line("checker", "some");
-            enc_checker(&mut e, "checker", c);
-        }
-        None => e.line("checker", "none"),
-    }
+    enc_opt(&mut e, "faults", faults.as_ref());
+    enc_opt(&mut e, "checker", checker.as_ref());
     enc_samples(&mut e, "samples", samples);
     enc_hist(&mut e, "walk_latency", walk_latency);
     enc_hist(&mut e, "miss_penalty", miss_penalty);
     enc_metrics(&mut e, "metrics", metrics);
-    match coherence {
-        Some(c) => {
-            e.line("coherence", "some");
-            enc_coherence(&mut e, "coherence", c);
-        }
-        None => e.line("coherence", "none"),
-    }
+    enc_opt(&mut e, "coherence", coherence.as_ref());
     e.u("cores.len", cores.len() as u64);
     for (i, c) in cores.iter().enumerate() {
         enc_core(&mut e, &format!("cores.{i}"), c);
@@ -1151,43 +884,34 @@ fn decode_result(payload: &str, fingerprint: &str) -> Result<Option<RunResult>, 
     if d.s("fingerprint")? != fingerprint {
         return Ok(None);
     }
-    let cores_len = d.u("cores.len")? as usize;
+    let cores_len = d.len("cores.len")?;
     let mut cores = Vec::with_capacity(cores_len);
     for i in 0..cores_len {
         cores.push(dec_core(&d, &format!("cores.{i}"))?);
     }
     Ok(Some(RunResult {
-        totals: dec_totals(&d, "totals")?,
+        totals: dec_counters(&d, "totals")?,
         runtime_ns: d.f("runtime_ns")?,
-        energy: dec_energy(&d, "energy")?,
-        l1: dec_cache(&d, "l1")?,
+        energy: dec_counters(&d, "energy")?,
+        l1: dec_counters(&d, "l1")?,
         l1_mpki: d.f("l1_mpki")?,
-        tlb_l1: dec_tlb(&d, "tlb_l1")?,
+        tlb_l1: dec_counters(&d, "tlb_l1")?,
         walks: d.u("walks")?,
-        seesaw: dec_seesaw(&d, "seesaw")?,
-        tft: dec_tft(&d, "tft")?,
+        seesaw: dec_counters(&d, "seesaw")?,
+        tft: dec_counters(&d, "tft")?,
         superpage_coverage: d.f("superpage_coverage")?,
         superpage_ref_fraction: d.f("superpage_ref_fraction")?,
         way_prediction_accuracy: d.opt_f("way_prediction_accuracy")?,
         coherence_probes: d.u("coherence_probes")?,
         demotions: d.u("demotions")?,
-        faults: match d.raw("faults")? {
-            "none" => None,
-            _ => Some(dec_injection(&d, "faults")?),
-        },
-        checker: match d.raw("checker")? {
-            "none" => None,
-            _ => Some(dec_checker(&d, "checker")?),
-        },
+        faults: dec_opt(&d, "faults")?,
+        checker: dec_opt(&d, "checker")?,
         samples: dec_samples(&d, "samples")?,
         walk_latency: dec_hist(&d, "walk_latency")?,
         miss_penalty: dec_hist(&d, "miss_penalty")?,
         metrics: dec_metrics(&d, "metrics")?,
         trace: None,
-        coherence: match d.raw("coherence")? {
-            "none" => None,
-            _ => Some(dec_coherence(&d, "coherence")?),
-        },
+        coherence: dec_opt(&d, "coherence")?,
         cores,
     }))
 }
@@ -1256,25 +980,89 @@ mod tests {
         assert_eq!(a.len(), 32);
     }
 
+    /// Every counter struct of a result, per core included.
+    fn assert_counters_eq(a: &RunResult, b: &RunResult) {
+        assert_eq!(a.totals, b.totals);
+        assert_eq!(a.energy, b.energy);
+        assert_eq!(a.l1, b.l1);
+        assert_eq!(a.tlb_l1, b.tlb_l1);
+        assert_eq!(a.seesaw, b.seesaw);
+        assert_eq!(a.tft, b.tft);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.checker, b.checker);
+        assert_eq!(a.coherence, b.coherence);
+        assert_eq!(a.cores.len(), b.cores.len());
+        for (x, y) in a.cores.iter().zip(&b.cores) {
+            assert_eq!(x.core, y.core);
+            assert_eq!(x.totals, y.totals);
+            assert_eq!(x.l1, y.l1);
+            assert_eq!(x.tlb_l1, y.tlb_l1);
+            assert_eq!(x.seesaw, y.seesaw);
+            assert_eq!(x.tft, y.tft);
+            assert_eq!(x.faults, y.faults);
+            assert_eq!(x.checker, y.checker);
+        }
+    }
+
     #[test]
     fn result_round_trips_bit_exactly() {
-        let cfg = RunConfig::quick("astar").instructions(40_000);
+        // A plain 1-core cell, and a 2-core directory SEESAW cell with the
+        // checker and every fault kind: the second carries the injection,
+        // checker, coherence and per-core counter paths.
+        let plain = RunConfig::quick("astar").instructions(40_000);
+        let loaded = RunConfig::quick("redis")
+            .design(crate::L1DesignKind::Seesaw)
+            .instructions(40_000)
+            .cores(2)
+            .with_checker()
+            .with_faults(seesaw_check::FaultConfig::all(0xc0de));
+        for cfg in [plain, loaded] {
+            let result = System::build(&cfg).unwrap().run().unwrap();
+            let fp = fingerprint(&cfg);
+            let payload = encode_result(&fp, &result).expect("untraced result encodes");
+            let back = decode_result(&payload, &fp).unwrap().expect("fp matches");
+            assert_counters_eq(&result, &back);
+            assert_eq!(result.runtime_ns.to_bits(), back.runtime_ns.to_bits());
+            assert_eq!(
+                result.energy.total_nj().to_bits(),
+                back.energy.total_nj().to_bits()
+            );
+            assert_eq!(result.metrics.len(), back.metrics.len());
+            // The codec is injective on its own output: re-encoding the
+            // decoded value reproduces the payload byte for byte.
+            assert_eq!(payload, encode_result(&fp, &back).unwrap());
+            // A different fingerprint is a collision, not a wrong answer.
+            assert!(decode_result(&payload, "other").unwrap().is_none());
+        }
+    }
+
+    /// A length field larger than the payload is corruption, not an
+    /// allocation request: the record reads as absent and is counted,
+    /// even under a valid checksum.
+    #[test]
+    fn hostile_length_fields_read_as_corrupt() {
+        let cfg = RunConfig::quick("astar").instructions(30_000);
         let result = System::build(&cfg).unwrap().run().unwrap();
         let fp = fingerprint(&cfg);
-        let payload = encode_result(&fp, &result).expect("untraced result encodes");
-        let back = decode_result(&payload, &fp).unwrap().expect("fp matches");
-        assert_eq!(result.totals.cycles, back.totals.cycles);
-        assert_eq!(result.runtime_ns.to_bits(), back.runtime_ns.to_bits());
-        assert_eq!(
-            result.energy.total_nj().to_bits(),
-            back.energy.total_nj().to_bits()
-        );
-        assert_eq!(result.metrics.len(), back.metrics.len());
-        // The codec is injective on its own output: re-encoding the
-        // decoded value reproduces the payload byte for byte.
-        assert_eq!(payload, encode_result(&fp, &back).unwrap());
-        // A different fingerprint is a collision, not a wrong answer.
-        assert!(decode_result(&payload, "other").unwrap().is_none());
+        let payload = encode_result(&fp, &result).unwrap();
+        let store = Store::open(tmp_dir("hostile")).unwrap();
+        let rec = store.dir().join(format!("r-{}.rec", digest(&fp)));
+        for key in ["cores.len", "samples.len", "cores.0.samples.len"] {
+            let hostile: String = payload
+                .lines()
+                .map(|line| match line.split_once(' ') {
+                    Some((k, _)) if k == key => format!("{k} 18446744073709551615\n"),
+                    _ => format!("{line}\n"),
+                })
+                .collect();
+            assert_ne!(hostile, payload, "{key} is in the payload");
+            assert!(decode_result(&hostile, &fp).is_err(), "{key}");
+            fs::write(&rec, record_bytes("result", &hostile)).unwrap();
+            let before = store.stats().corrupt;
+            assert!(store.get(&fp).is_none(), "{key}");
+            assert_eq!(store.stats().corrupt, before + 1, "{key}");
+        }
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]

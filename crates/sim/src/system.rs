@@ -5,9 +5,7 @@
 //! artifacts — lives in the private `build` module.
 
 use seesaw_cache::{CacheStats, MemoryLevel, WayPredictionStats};
-use seesaw_check::{
-    AccessCheck, CheckEvent, CheckerSummary, FaultKind, InjectionStats, ViolationCounters,
-};
+use seesaw_check::{AccessCheck, CheckEvent, CheckerSummary, FaultKind, InjectionStats};
 use seesaw_core::{HitTimeAssumption, L1Request, L1Timing, SeesawStats, TftStats, VespaStats};
 use seesaw_cpu::{CpuModel, InOrderCpu, OooCpu, RunTotals};
 
@@ -16,7 +14,8 @@ use seesaw_mem::{
 };
 use seesaw_tlb::{TlbLevel, TlbStats, WalkerStats};
 use seesaw_trace::{
-    Collect, EventKind, Log2Histogram, MetricsRegistry, NullSink, RingSink, Sink, TranslationLevel,
+    Collect, Counter, EventKind, Log2Histogram, MetricsRegistry, NullSink, RingSink, Sink,
+    TranslationLevel,
 };
 use seesaw_workloads::TraceRef;
 
@@ -352,6 +351,7 @@ impl System {
         struct CoreBefore {
             l1: CacheStats,
             tlb: TlbStats,
+            tlb_l2: Option<TlbStats>,
             walker: WalkerStats,
             walk_hist: Log2Histogram,
             seesaw: SeesawStats,
@@ -374,6 +374,7 @@ impl System {
                 CoreBefore {
                     l1: core.l1.as_dyn().cache_stats(),
                     tlb: core.tlbs.l1_stats(),
+                    tlb_l2: core.tlbs.l2_stats(),
                     walker: core.tlbs.walker_stats(),
                     walk_hist: core.tlbs.walker_latency_hist(),
                     seesaw,
@@ -441,6 +442,7 @@ impl System {
         // (every aggregate reduces to the lone core's delta when n = 1).
         let mut l1_stats = CacheStats::default();
         let mut tlb_stats = TlbStats::default();
+        let mut tlb_l2_stats: Option<TlbStats> = None;
         let mut walker_total = WalkerStats::default();
         let mut seesaw_stats = SeesawStats::default();
         let mut tft_stats = TftStats::default();
@@ -473,30 +475,22 @@ impl System {
                 }
             };
             if let L1Flavor::Vespa(v) = &core.l1 {
-                add_vespa(&mut vespa_stats, &v.vespa_stats().delta(&b.vespa));
+                vespa_stats.merge(&v.vespa_stats().delta(&b.vespa));
             }
             if let Some(now) = core.l1.way_prediction_stats() {
-                let base = b.waypred.unwrap_or_default();
-                let delta = WayPredictionStats {
-                    hits: now.hits - base.hits,
-                    mispredictions: now.mispredictions - base.mispredictions,
-                    cold: now.cold - base.cold,
-                    alias_mispredicts: now.alias_mispredicts - base.alias_mispredicts,
-                };
-                let total = waypred_stats.get_or_insert_with(WayPredictionStats::default);
-                total.hits += delta.hits;
-                total.mispredictions += delta.mispredictions;
-                total.cold += delta.cold;
-                total.alias_mispredicts += delta.alias_mispredicts;
+                merge_window(&mut waypred_stats, &now, b.waypred);
+            }
+            if let Some(now) = core.tlbs.l2_stats() {
+                merge_window(&mut tlb_l2_stats, &now, b.tlb_l2);
             }
             let tlb = core.tlbs.l1_stats().delta(&b.tlb);
             let walker = core.tlbs.walker_stats().delta(&b.walker);
             let walk_hist = core.tlbs.walker_latency_hist().delta(&b.walk_hist);
-            add_cache(&mut l1_stats, &l1);
-            add_tlb(&mut tlb_stats, &tlb);
-            add_walker(&mut walker_total, &walker);
-            add_seesaw(&mut seesaw_stats, &seesaw);
-            add_tft(&mut tft_stats, &tft);
+            l1_stats.merge(&l1);
+            tlb_stats.merge(&tlb);
+            walker_total.merge(&walker);
+            seesaw_stats.merge(&seesaw);
+            tft_stats.merge(&tft);
             match walk_latency.as_mut() {
                 Some(h) => h.merge(&walk_hist),
                 None => walk_latency = Some(walk_hist),
@@ -533,20 +527,18 @@ impl System {
         let coherence_probes: u64 = counters.iter().map(|c| c.coherence_probes).sum();
         let faults = self.config.faults.is_some().then(|| {
             let mut total = InjectionStats::default();
-            for r in &core_results {
-                if let Some(f) = r.faults.as_ref() {
-                    add_inject(&mut total, f);
-                }
-            }
+            core_results
+                .iter()
+                .filter_map(|r| r.faults.as_ref())
+                .for_each(|f| total.merge(f));
             total
         });
         let checker = self.config.checker.then(|| {
             let mut total = CheckerSummary::default();
-            for r in &core_results {
-                if let Some(c) = r.checker.as_ref() {
-                    add_checker(&mut total, c);
-                }
-            }
+            core_results
+                .iter()
+                .filter_map(|r| r.checker.as_ref())
+                .for_each(|c| total.merge(c));
             total
         });
         let coherence = self.uncore.coherence.as_ref().map(|d| d.stats());
@@ -555,14 +547,14 @@ impl System {
         let energy = self.uncore.account.finish_many(runtime_ns, n as u64);
         let trace = sink.finish();
 
-        // One flat namespaced snapshot of every counter (the Collect
-        // impls destructure their structs, so no field can be missing).
+        // One flat namespaced snapshot of every counter (the `counters!`
+        // declarations export every field, so none can be missing).
         let mut metrics = MetricsRegistry::new();
         totals.collect("cpu", &mut metrics);
         l1_stats.collect("l1", &mut metrics);
         miss_penalty.collect("l1.miss_penalty", &mut metrics);
         tlb_stats.collect("tlb.l1", &mut metrics);
-        if let Some(l2) = self.cores[0].tlbs.l2_stats() {
+        if let Some(l2) = tlb_l2_stats.as_ref() {
             l2.collect("tlb.l2", &mut metrics);
         }
         walker_total.collect("tlb.walker", &mut metrics);
@@ -1642,155 +1634,13 @@ fn pick(core: &mut Core, n: usize) -> usize {
     core.injector.as_mut().map_or(0, |i| i.pick(n))
 }
 
-fn add_cache(total: &mut CacheStats, s: &CacheStats) {
-    let CacheStats {
-        hits,
-        misses,
-        fills,
-        evictions,
-        writebacks,
-        ways_probed,
-        coherence_probes,
-        coherence_ways_probed,
-        coherence_invalidations,
-    } = *s;
-    total.hits += hits;
-    total.misses += misses;
-    total.fills += fills;
-    total.evictions += evictions;
-    total.writebacks += writebacks;
-    total.ways_probed += ways_probed;
-    total.coherence_probes += coherence_probes;
-    total.coherence_ways_probed += coherence_ways_probed;
-    total.coherence_invalidations += coherence_invalidations;
-}
-
-fn add_tlb(total: &mut TlbStats, s: &TlbStats) {
-    let TlbStats {
-        hits,
-        misses,
-        fills,
-        evictions,
-        invalidations,
-        flushes,
-    } = *s;
-    total.hits += hits;
-    total.misses += misses;
-    total.fills += fills;
-    total.evictions += evictions;
-    total.invalidations += invalidations;
-    total.flushes += flushes;
-}
-
-fn add_walker(total: &mut WalkerStats, s: &WalkerStats) {
-    let WalkerStats {
-        walks,
-        cycles,
-        faults,
-    } = *s;
-    total.walks += walks;
-    total.cycles += cycles;
-    total.faults += faults;
-}
-
-fn add_seesaw(total: &mut SeesawStats, s: &SeesawStats) {
-    let SeesawStats {
-        super_tft_hit_cache_hit,
-        super_tft_hit_cache_miss,
-        super_tft_miss,
-        base_page,
-        super_tft_miss_l1_miss,
-        sweeps,
-        swept_lines,
-    } = *s;
-    total.super_tft_hit_cache_hit += super_tft_hit_cache_hit;
-    total.super_tft_hit_cache_miss += super_tft_hit_cache_miss;
-    total.super_tft_miss += super_tft_miss;
-    total.base_page += base_page;
-    total.super_tft_miss_l1_miss += super_tft_miss_l1_miss;
-    total.sweeps += sweeps;
-    total.swept_lines += swept_lines;
-}
-
-fn add_vespa(total: &mut VespaStats, s: &VespaStats) {
-    let VespaStats {
-        super_fast_hits,
-        super_fast_misses,
-        base_accesses,
-        wasted_probe_ways,
-        sweeps,
-        swept_lines,
-    } = *s;
-    total.super_fast_hits += super_fast_hits;
-    total.super_fast_misses += super_fast_misses;
-    total.base_accesses += base_accesses;
-    total.wasted_probe_ways += wasted_probe_ways;
-    total.sweeps += sweeps;
-    total.swept_lines += swept_lines;
-}
-
-fn add_tft(total: &mut TftStats, s: &TftStats) {
-    let TftStats {
-        hits,
-        misses,
-        fills,
-        invalidations,
-        flushes,
-    } = *s;
-    total.hits += hits;
-    total.misses += misses;
-    total.fills += fills;
-    total.invalidations += invalidations;
-    total.flushes += flushes;
-}
-
-fn add_inject(total: &mut InjectionStats, s: &InjectionStats) {
-    let InjectionStats {
-        splinters,
-        promotions,
-        shootdowns,
-        tft_storms,
-        context_switches,
-        mem_pressure,
-        mem_releases,
-    } = *s;
-    total.splinters += splinters;
-    total.promotions += promotions;
-    total.shootdowns += shootdowns;
-    total.tft_storms += tft_storms;
-    total.context_switches += context_switches;
-    total.mem_pressure += mem_pressure;
-    total.mem_releases += mem_releases;
-}
-
-fn add_checker(total: &mut CheckerSummary, s: &CheckerSummary) {
-    let CheckerSummary {
-        loads_checked,
-        stores_tracked,
-        audits,
-        violations,
-    } = *s;
-    total.loads_checked += loads_checked;
-    total.stores_tracked += stores_tracked;
-    total.audits += audits;
-    let ViolationCounters {
-        stale_translation,
-        tft_claims_base_page,
-        data_divergence,
-        use_after_free,
-        swept_line_resident,
-        partition_unreachable,
-        stale_physical_mapping,
-        way_prediction_alias,
-    } = violations;
-    total.violations.stale_translation += stale_translation;
-    total.violations.tft_claims_base_page += tft_claims_base_page;
-    total.violations.data_divergence += data_divergence;
-    total.violations.use_after_free += use_after_free;
-    total.violations.swept_line_resident += swept_line_resident;
-    total.violations.partition_unreachable += partition_unreachable;
-    total.violations.stale_physical_mapping += stale_physical_mapping;
-    total.violations.way_prediction_alias += way_prediction_alias;
+/// Adds the measured-window count `now − before` into an optional
+/// cross-core total, creating it on first use (a component only some
+/// designs or configurations attach: way predictors, L2 TLBs).
+fn merge_window<C: Counter>(total: &mut Option<C>, now: &C, before: Option<C>) {
+    total
+        .get_or_insert_with(C::default)
+        .merge(&now.delta(&before.unwrap_or_default()));
 }
 
 #[cfg(test)]

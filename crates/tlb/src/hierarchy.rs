@@ -161,13 +161,7 @@ impl TlbHierarchy {
             L1Tlbs::Split { l1_4k, l1_2m, l1_1g } => {
                 let mut s = TlbStats::default();
                 for t in [Some(l1_4k), Some(l1_2m), l1_1g.as_ref()].into_iter().flatten() {
-                    let st = t.stats();
-                    s.hits += st.hits;
-                    s.misses += st.misses;
-                    s.fills += st.fills;
-                    s.evictions += st.evictions;
-                    s.invalidations += st.invalidations;
-                    s.flushes += st.flushes;
+                    s.merge(&t.stats());
                 }
                 s
             }

@@ -1,40 +1,29 @@
 //! TLB access counters.
 
-use seesaw_trace::{Collect, MetricsRegistry};
-
-/// Hit/miss/maintenance counters for one TLB structure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries filled.
-    pub fills: u64,
-    /// Valid entries displaced by fills.
-    pub evictions: u64,
-    /// Entries removed by targeted (`invlpg`) invalidation.
-    pub invalidations: u64,
-    /// Full flushes.
-    pub flushes: u64,
+seesaw_trace::counters! {
+    /// Hit/miss/maintenance counters for one TLB structure.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TlbStats {
+        /// Lookups that hit.
+        pub hits: u64,
+        /// Lookups that missed.
+        pub misses: u64,
+        /// Entries filled.
+        pub fills: u64,
+        /// Valid entries displaced by fills.
+        pub evictions: u64,
+        /// Entries removed by targeted (`invlpg`) invalidation.
+        pub invalidations: u64,
+        /// Full flushes.
+        pub flushes: u64,
+    }
+    derived: hit_rate;
 }
 
 impl TlbStats {
     /// Total lookups.
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
-    }
-
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &TlbStats) -> TlbStats {
-        TlbStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            fills: self.fills - earlier.fills,
-            evictions: self.evictions - earlier.evictions,
-            invalidations: self.invalidations - earlier.invalidations,
-            flushes: self.flushes - earlier.flushes,
-        }
     }
 
     /// Hit rate in `[0, 1]`; zero when no lookups occurred.
@@ -44,26 +33,6 @@ impl TlbStats {
         } else {
             self.hits as f64 / self.lookups() as f64
         }
-    }
-}
-
-impl Collect for TlbStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let TlbStats {
-            hits,
-            misses,
-            fills,
-            evictions,
-            invalidations,
-            flushes,
-        } = *self;
-        out.set_u64(&format!("{prefix}.hits"), hits);
-        out.set_u64(&format!("{prefix}.misses"), misses);
-        out.set_u64(&format!("{prefix}.fills"), fills);
-        out.set_u64(&format!("{prefix}.evictions"), evictions);
-        out.set_u64(&format!("{prefix}.invalidations"), invalidations);
-        out.set_u64(&format!("{prefix}.flushes"), flushes);
-        out.set_f64(&format!("{prefix}.hit_rate"), self.hit_rate());
     }
 }
 

@@ -1,7 +1,7 @@
 //! Page-table walker.
 
 use seesaw_mem::{AddressSpace, Translation, VirtAddr};
-use seesaw_trace::{Collect, Log2Histogram, MetricsRegistry};
+use seesaw_trace::Log2Histogram;
 
 /// Result of a completed page walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,38 +27,16 @@ pub struct PageWalker {
     latency_hist: Log2Histogram,
 }
 
-/// Walk counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalkerStats {
-    /// Completed walks.
-    pub walks: u64,
-    /// Total cycles spent walking.
-    pub cycles: u64,
-    /// Walks that faulted (no mapping).
-    pub faults: u64,
-}
-
-impl WalkerStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &WalkerStats) -> WalkerStats {
-        WalkerStats {
-            walks: self.walks - earlier.walks,
-            cycles: self.cycles - earlier.cycles,
-            faults: self.faults - earlier.faults,
-        }
-    }
-}
-
-impl Collect for WalkerStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let WalkerStats {
-            walks,
-            cycles,
-            faults,
-        } = *self;
-        out.set_u64(&format!("{prefix}.walks"), walks);
-        out.set_u64(&format!("{prefix}.cycles"), cycles);
-        out.set_u64(&format!("{prefix}.faults"), faults);
+seesaw_trace::counters! {
+    /// Walk counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WalkerStats {
+        /// Completed walks.
+        pub walks: u64,
+        /// Total cycles spent walking.
+        pub cycles: u64,
+        /// Walks that faulted (no mapping).
+        pub faults: u64,
     }
 }
 

@@ -1,6 +1,5 @@
 //! Typed, compact simulation events.
 
-use crate::metrics::{Collect, MetricsRegistry};
 use crate::ops::CellPhase;
 
 /// Which level of the translation machinery served a lookup.
@@ -214,53 +213,55 @@ impl Event {
     }
 }
 
-/// Exact per-type event counters, maintained by [`crate::RingSink`] for
-/// *every* emitted event (the ring may drop old events; these never do).
-/// The fields mirror the reconcilable aggregate counters of the `*Stats`
-/// structs, so `traced X events == XStats.x` checks hold by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// Translations served by an L1 TLB.
-    pub tlb_l1_hits: u64,
-    /// Translations served by the L2 TLB.
-    pub tlb_l2_hits: u64,
-    /// Translations that required a page walk.
-    pub tlb_walks: u64,
-    /// Page walks completed (equals `tlb_walks`; kept separate so the
-    /// two emission sites cross-check each other).
-    pub walk_ends: u64,
-    /// TFT lookups that hit.
-    pub tft_hits: u64,
-    /// TFT lookups that missed.
-    pub tft_misses: u64,
-    /// TFT fills.
-    pub tft_fills: u64,
-    /// TFT flushes.
-    pub tft_flushes: u64,
-    /// L1 lookups that hit.
-    pub l1_hits: u64,
-    /// L1 lookups that missed.
-    pub l1_misses: u64,
-    /// Total ways probed across L1 lookups.
-    pub ways_probed: u64,
-    /// Promotions applied.
-    pub promotions: u64,
-    /// Splinters applied.
-    pub splinters: u64,
-    /// Promotions demoted to base pages.
-    pub demotions: u64,
-    /// Shootdowns delivered.
-    pub shootdowns: u64,
-    /// Context switches.
-    pub context_switches: u64,
-    /// Coherence probes delivered.
-    pub coherence_probes: u64,
-    /// Checker violations observed.
-    pub violations: u64,
-    /// Injected faults fired.
-    pub faults: u64,
-    /// Phase boundaries crossed.
-    pub phase_marks: u64,
+crate::counters! {
+    /// Exact per-type event counters, maintained by [`crate::RingSink`] for
+    /// *every* emitted event (the ring may drop old events; these never do).
+    /// The fields mirror the reconcilable aggregate counters of the `*Stats`
+    /// structs, so `traced X events == XStats.x` checks hold by construction.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EventCounts {
+        /// Translations served by an L1 TLB.
+        pub tlb_l1_hits: u64,
+        /// Translations served by the L2 TLB.
+        pub tlb_l2_hits: u64,
+        /// Translations that required a page walk.
+        pub tlb_walks: u64,
+        /// Page walks completed (equals `tlb_walks`; kept separate so the
+        /// two emission sites cross-check each other).
+        pub walk_ends: u64,
+        /// TFT lookups that hit.
+        pub tft_hits: u64,
+        /// TFT lookups that missed.
+        pub tft_misses: u64,
+        /// TFT fills.
+        pub tft_fills: u64,
+        /// TFT flushes.
+        pub tft_flushes: u64,
+        /// L1 lookups that hit.
+        pub l1_hits: u64,
+        /// L1 lookups that missed.
+        pub l1_misses: u64,
+        /// Total ways probed across L1 lookups.
+        pub ways_probed: u64,
+        /// Promotions applied.
+        pub promotions: u64,
+        /// Splinters applied.
+        pub splinters: u64,
+        /// Promotions demoted to base pages.
+        pub demotions: u64,
+        /// Shootdowns delivered.
+        pub shootdowns: u64,
+        /// Context switches.
+        pub context_switches: u64,
+        /// Coherence probes delivered.
+        pub coherence_probes: u64,
+        /// Checker violations observed.
+        pub violations: u64,
+        /// Injected faults fired.
+        pub faults: u64,
+        /// Phase boundaries crossed.
+        pub phase_marks: u64,
+    }
 }
 
 impl EventCounts {
@@ -302,98 +303,10 @@ impl EventCounts {
         }
     }
 
-    /// Total events observed.
+    /// Total events observed: every counter except `ways_probed`,
+    /// which sums a payload rather than counting events.
     pub fn total(&self) -> u64 {
-        let EventCounts {
-            tlb_l1_hits,
-            tlb_l2_hits,
-            tlb_walks,
-            walk_ends,
-            tft_hits,
-            tft_misses,
-            tft_fills,
-            tft_flushes,
-            l1_hits,
-            l1_misses,
-            ways_probed: _,
-            promotions,
-            splinters,
-            demotions,
-            shootdowns,
-            context_switches,
-            coherence_probes,
-            violations,
-            faults,
-            phase_marks,
-        } = *self;
-        tlb_l1_hits
-            + tlb_l2_hits
-            + tlb_walks
-            + walk_ends
-            + tft_hits
-            + tft_misses
-            + tft_fills
-            + tft_flushes
-            + l1_hits
-            + l1_misses
-            + promotions
-            + splinters
-            + demotions
-            + shootdowns
-            + context_switches
-            + coherence_probes
-            + violations
-            + faults
-            + phase_marks
-    }
-}
-
-impl Collect for EventCounts {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        // Destructure without `..`: a new counter cannot be added to the
-        // struct without also being exported here.
-        let EventCounts {
-            tlb_l1_hits,
-            tlb_l2_hits,
-            tlb_walks,
-            walk_ends,
-            tft_hits,
-            tft_misses,
-            tft_fills,
-            tft_flushes,
-            l1_hits,
-            l1_misses,
-            ways_probed,
-            promotions,
-            splinters,
-            demotions,
-            shootdowns,
-            context_switches,
-            coherence_probes,
-            violations,
-            faults,
-            phase_marks,
-        } = *self;
-        out.set_u64(&format!("{prefix}.tlb_l1_hits"), tlb_l1_hits);
-        out.set_u64(&format!("{prefix}.tlb_l2_hits"), tlb_l2_hits);
-        out.set_u64(&format!("{prefix}.tlb_walks"), tlb_walks);
-        out.set_u64(&format!("{prefix}.walk_ends"), walk_ends);
-        out.set_u64(&format!("{prefix}.tft_hits"), tft_hits);
-        out.set_u64(&format!("{prefix}.tft_misses"), tft_misses);
-        out.set_u64(&format!("{prefix}.tft_fills"), tft_fills);
-        out.set_u64(&format!("{prefix}.tft_flushes"), tft_flushes);
-        out.set_u64(&format!("{prefix}.l1_hits"), l1_hits);
-        out.set_u64(&format!("{prefix}.l1_misses"), l1_misses);
-        out.set_u64(&format!("{prefix}.ways_probed"), ways_probed);
-        out.set_u64(&format!("{prefix}.promotions"), promotions);
-        out.set_u64(&format!("{prefix}.splinters"), splinters);
-        out.set_u64(&format!("{prefix}.demotions"), demotions);
-        out.set_u64(&format!("{prefix}.shootdowns"), shootdowns);
-        out.set_u64(&format!("{prefix}.context_switches"), context_switches);
-        out.set_u64(&format!("{prefix}.coherence_probes"), coherence_probes);
-        out.set_u64(&format!("{prefix}.violations"), violations);
-        out.set_u64(&format!("{prefix}.faults"), faults);
-        out.set_u64(&format!("{prefix}.phase_marks"), phase_marks);
+        crate::Counter::sum_leaves(self) - self.ways_probed
     }
 }
 

@@ -20,10 +20,10 @@
 //!   [`EventCounts`] mirror, so aggregate reconciliation works even after
 //!   the ring wraps.
 //! * [`MetricsRegistry`] / [`Collect`] — one flat `namespaced.key → value`
-//!   snapshot of every counter. Each stats struct implements [`Collect`]
-//!   by *destructuring itself without `..`*, so adding a field to any
-//!   stats struct breaks compilation until the field is exported — no
-//!   counter can silently fall out of reports.
+//!   snapshot of every counter. Each counter struct is declared once with
+//!   [`counters!`], which derives its [`Collect`] impl, its `delta` and
+//!   `merge`, and the [`Counter`] field visitor codecs use — so no
+//!   declared counter can fall out of reports, merges or records.
 //! * [`Log2Histogram`] — fixed-size power-of-two latency histograms for
 //!   walk latency, miss penalty, and runner cell wall clock.
 //! * [`ops`] — the live sweep-operations vocabulary: cell lifecycle
@@ -71,7 +71,9 @@ pub use chrome::ChromeTrace;
 pub use csv::Csv;
 pub use event::{Event, EventCounts, EventKind, TranslationLevel};
 pub use hist::Log2Histogram;
-pub use metrics::{Collect, MetricValue, MetricsRegistry};
+#[doc(hidden)]
+pub use metrics::with_field;
+pub use metrics::{Collect, Counter, MetricValue, MetricsRegistry};
 pub use ops::{CellPhase, CellProgress, CellState, FabricWorkerStats, OpsSweepStats};
 pub use prometheus::Prometheus;
 pub use sink::{NullSink, RingSink, Sink, TraceData};

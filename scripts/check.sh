@@ -14,6 +14,9 @@ cargo test -q --workspace
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark package: build and test (its own workspace, so --workspace skips it)"
+cargo test --release --offline --locked --manifest-path simbench/Cargo.toml
+
 echo "==> microbenches in --test mode (every bench body runs once, pass/fail)"
 cargo bench -p seesaw-bench --benches -- --test
 

@@ -7,7 +7,7 @@ use seesaw_sim::{
 };
 use seesaw_trace::json::Json;
 use seesaw_trace::jsonl::validate_jsonl;
-use seesaw_trace::EventCounts;
+use seesaw_trace::{EventCounts, MetricValue};
 
 fn traced_run() -> RunResult {
     let mut cfg = RunConfig::quick("redis")
@@ -20,11 +20,10 @@ fn traced_run() -> RunResult {
 }
 
 /// Every subsystem's counters must land in the flat registry. The
-/// per-field completeness is enforced at compile time — each `Collect`
-/// impl destructures its stats struct without `..`, so adding a field
-/// breaks the build until it is exported — and this test pins the
-/// namespaces themselves so no subsystem silently drops out of the
-/// snapshot assembly in `System::run`.
+/// per-field completeness comes from the single `counters!` declaration
+/// of each stats struct, which exports every field it declares; this
+/// test pins the namespaces themselves so no subsystem silently drops
+/// out of the snapshot assembly in `System::run`.
 #[test]
 fn registry_covers_every_subsystem() {
     let r = traced_run();
@@ -95,6 +94,15 @@ fn events_reconcile_with_stats() {
     assert_eq!(c.tft_misses, r.tft.misses);
     // Coherence probes observed by the trace are the ones the run billed.
     assert_eq!(c.coherence_probes, r.coherence_probes);
+    // The L2 TLB counters cover the measured window too: every L2 hit
+    // answered a translation, and every L2 lookup either hit or walked.
+    let l2_hits = r
+        .metrics
+        .get_u64("tlb.l2.hits")
+        .expect("an L2 TLB is configured");
+    let l2_misses = r.metrics.get_u64("tlb.l2.misses").unwrap();
+    assert_eq!(l2_hits, c.tlb_l2_hits);
+    assert_eq!(l2_hits + l2_misses, c.tlb_l2_hits + c.tlb_walks);
     // Ring accounting: everything emitted is either retained or counted
     // as dropped.
     assert_eq!(c.total(), t.emitted());
@@ -313,4 +321,62 @@ fn plan_memo_deltas_are_self_consistent() {
     assert_eq!(run.memo.entries, 1);
     assert!(run.memo.hits >= 2, "two duplicate cells must hit");
     assert_eq!(run.journal.len(), 3);
+}
+
+/// The sorted `key type` listing of three cells' registries: a 1-core
+/// SEESAW cell with the checker and every fault kind, a 2-core directory
+/// baseline, and a 1-core VESPA cell — between them every namespace
+/// `System::run` assembles.
+fn registry_key_listing() -> String {
+    let cells = [
+        (
+            "seesaw-checked-faults",
+            RunConfig::quick("redis")
+                .design(L1DesignKind::Seesaw)
+                .instructions(40_000)
+                .with_checker()
+                .with_faults(FaultConfig::all(0x5eed)),
+        ),
+        (
+            "baseline-2core-directory",
+            RunConfig::quick("redis").instructions(40_000).cores(2),
+        ),
+        (
+            "vespa",
+            RunConfig::quick("redis")
+                .design(L1DesignKind::Vespa)
+                .instructions(40_000),
+        ),
+    ];
+    let mut out = String::new();
+    for (name, cfg) in cells {
+        let r = System::build(&cfg).unwrap().run().unwrap();
+        out.push_str(&format!("[{name}]\n"));
+        for (key, value) in r.metrics.iter() {
+            let kind = match value {
+                MetricValue::U64(_) => "u64",
+                MetricValue::F64(_) => "f64",
+            };
+            out.push_str(&format!("{key} {kind}\n"));
+        }
+    }
+    out
+}
+
+/// Registry keys are an exported interface (CSV, Prometheus, `bench_diff`
+/// and the figure drivers read them by name): no key may be added,
+/// renamed or dropped, and none may change between `u64` and `f64`,
+/// without updating `tests/fixtures/registry_keys.txt`.
+#[test]
+fn registry_keys_match_fixture() {
+    let want = include_str!("fixtures/registry_keys.txt");
+    let got = registry_key_listing();
+    let want_lines: std::collections::BTreeSet<&str> = want.lines().collect();
+    let got_lines: std::collections::BTreeSet<&str> = got.lines().collect();
+    let missing: Vec<_> = want_lines.difference(&got_lines).collect();
+    let added: Vec<_> = got_lines.difference(&want_lines).collect();
+    assert!(
+        got == want,
+        "registry keys differ from the fixture\n  missing: {missing:?}\n  added: {added:?}"
+    );
 }
