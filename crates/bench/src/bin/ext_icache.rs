@@ -7,9 +7,7 @@
 //! Table II 32 KB L1I, baseline versus SEESAW, with the code segment
 //! superpage-backed (as Linux does for hot text via THP/hugetext).
 
-use seesaw_core::{
-    BaselineL1, L1AccessOutcome, L1DataCache, L1Request, L1Timing, SeesawConfig, SeesawL1,
-};
+use seesaw_core::{BaselineL1, L1DataCache, L1Request, L1Timing, SeesawConfig, SeesawL1};
 use seesaw_energy::SramModel;
 use seesaw_mem::{AddressSpace, PhysicalMemory, ThpPolicy};
 use seesaw_tlb::{TlbHierarchy, TlbHierarchyConfig};
@@ -54,12 +52,13 @@ fn run(config: IFetchConfig, seesaw: bool, fetches: u64) -> (f64, f64, f64, f64)
         fast_cycles: sram.partition_lookup_cycles(32, 8, 2, 1.33),
         slow_cycles: sram.full_lookup_cycles(32, 8, 1.33),
     };
-    let mut seesaw_l1 = SeesawL1::new(SeesawConfig::l1_32k(), timing);
-    let mut baseline_l1 = BaselineL1::new(
-        seesaw_cache::CacheConfig::new(32 << 10, 8, 64, seesaw_cache::IndexPolicy::Vipt),
-        timing,
-        false,
-    );
+    let mut l1: Box<dyn L1DataCache> = if seesaw {
+        Box::new(SeesawL1::new(SeesawConfig::l1_32k(), timing))
+    } else {
+        let cache =
+            seesaw_cache::CacheConfig::new(32 << 10, 8, 64, seesaw_cache::IndexPolicy::Vipt);
+        Box::new(BaselineL1::new(cache, timing, false))
+    };
 
     let mut generator = IFetchGenerator::new(config);
     let mut cycles = 0u64;
@@ -73,26 +72,18 @@ fn run(config: IFetchConfig, seesaw: bool, fetches: u64) -> (f64, f64, f64, f64)
             page_size: lookup.entry.size,
             is_write: false,
         };
-        let out: L1AccessOutcome = if seesaw {
-            for page in &lookup.superpage_l1_fills {
-                seesaw_l1.tft_fill(page.base());
-            }
-            let out = seesaw_l1.access(&req);
-            if out.tft_hit == Some(false) && lookup.entry.size.is_superpage() {
-                seesaw_l1.tft_fill(va);
-            }
-            out
-        } else {
-            baseline_l1.access(&req)
-        };
+        // TFT fills are no-ops on the baseline, which has no TFT.
+        for page in &lookup.superpage_l1_fills {
+            l1.tft_fill(page.base());
+        }
+        let out = l1.access(&req);
+        if out.tft_hit == Some(false) && lookup.entry.size.is_superpage() {
+            l1.tft_fill(va);
+        }
         cycles += out.latency_cycles;
         energy_nj += sram.lookup_energy_nj(32, 8, out.ways_probed);
     }
-    let stats = if seesaw {
-        seesaw_l1.cache_stats()
-    } else {
-        baseline_l1.cache_stats()
-    };
+    let stats = l1.cache_stats();
     (
         1.0 - stats.miss_rate(),
         stats.avg_ways_probed(),

@@ -8,7 +8,7 @@
 //! the last line and direction, and after two accesses in the same
 //! direction it runs `degree` lines ahead.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Per-region stream state.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +44,8 @@ seesaw_trace::counters! {
 pub struct StreamPrefetcher {
     degree: usize,
     streams: HashMap<u64, Stream>,
+    /// Tracked regions, oldest first (the eviction order).
+    order: VecDeque<u64>,
     stats: PrefetchStats,
 }
 
@@ -63,6 +65,7 @@ impl StreamPrefetcher {
         Self {
             degree,
             streams: HashMap::new(),
+            order: VecDeque::new(),
             stats: PrefetchStats::default(),
         }
     }
@@ -87,11 +90,13 @@ impl StreamPrefetcher {
             }
             None => {
                 if self.streams.len() >= Self::MAX_STREAMS {
-                    // Drop an arbitrary old stream (cheap pseudo-LRU).
-                    if let Some(&old) = self.streams.keys().next() {
+                    // Drop the oldest stream (FIFO by allocation), so the
+                    // output is a function of the miss stream alone.
+                    if let Some(old) = self.order.pop_front() {
                         self.streams.remove(&old);
                     }
                 }
+                self.order.push_back(region);
                 self.streams.insert(
                     region,
                     Stream {
@@ -129,6 +134,32 @@ impl StreamPrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn eviction_is_deterministic_across_instances() {
+        // 1,800 unit-stride observations spread over 200 regions: far more
+        // streams than the table holds, so the eviction order decides
+        // which streams survive to confirm.
+        let mut state = 0x5eed_u64;
+        let mut cursors = vec![0u64; 200];
+        let stream: Vec<u64> = (0..1_800)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let region = ((state >> 33) % 200) as usize;
+                cursors[region] += 1;
+                region as u64 * StreamPrefetcher::REGION_LINES + cursors[region] % 64
+            })
+            .collect();
+        let outputs = |pf: &mut StreamPrefetcher| -> Vec<Vec<u64>> {
+            stream.iter().map(|&line| pf.observe(line)).collect()
+        };
+        let a = outputs(&mut StreamPrefetcher::new(4));
+        let b = outputs(&mut StreamPrefetcher::new(4));
+        assert!(a.iter().any(|out| !out.is_empty()), "some streams confirm");
+        assert_eq!(a, b);
+    }
 
     #[test]
     fn ascending_stream_confirms_and_runs_ahead() {

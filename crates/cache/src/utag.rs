@@ -14,6 +14,8 @@
 //! layers a checker invariant on top (a predicted hit whose physical tag
 //! does not verify must never be served as data).
 
+use crate::WayPredictionStats;
+
 /// Bits kept per µtag. Eight bits matches the granularity public Zen2
 /// reverse-engineering reports; small enough that aliases actually occur.
 const UTAG_BITS: u32 = 8;
@@ -29,12 +31,10 @@ pub struct MicroTagPredictor {
     ways: usize,
     /// µtag per `set × way`; value `hash | 0x100` when valid, 0 otherwise.
     utags: Vec<u16>,
-    hits: u64,
-    mispredictions: u64,
-    cold: u64,
-    /// Mispredictions where the µtag *matched* but the physical tag did
-    /// not — virtual-alias false hits, the Zen2 failure mode.
-    aliases: u64,
+    /// Outcome counters; `alias_mispredicts` counts mispredictions where
+    /// the µtag *matched* but the physical tag did not — virtual-alias
+    /// false hits, the Zen2 failure mode.
+    stats: WayPredictionStats,
 }
 
 impl MicroTagPredictor {
@@ -47,10 +47,7 @@ impl MicroTagPredictor {
         Self {
             ways,
             utags: vec![0; sets * ways],
-            hits: 0,
-            mispredictions: 0,
-            cold: 0,
-            aliases: 0,
+            stats: WayPredictionStats::default(),
         }
     }
 
@@ -104,39 +101,23 @@ impl MicroTagPredictor {
     /// `tag_verified` whether the predicted way's physical tag matched.
     pub fn record(&mut self, predicted: Option<usize>, actual: Option<usize>, tag_verified: bool) {
         match predicted {
-            None => self.cold += 1,
+            None => self.stats.cold += 1,
             Some(p) => {
                 if actual == Some(p) && tag_verified {
-                    self.hits += 1;
+                    self.stats.hits += 1;
                 } else {
-                    self.mispredictions += 1;
+                    self.stats.mispredictions += 1;
                     if !tag_verified {
-                        self.aliases += 1;
+                        self.stats.alias_mispredicts += 1;
                     }
                 }
             }
         }
     }
 
-    /// Fraction of non-cold predictions that were correct.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.hits + self.mispredictions;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// `(correct, mispredicted, cold)` counts, matching
-    /// [`crate::MruWayPredictor::counts`].
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.hits, self.mispredictions, self.cold)
-    }
-
-    /// Virtual-alias false hits (µtag matched, physical tag did not).
-    pub fn alias_mispredicts(&self) -> u64 {
-        self.aliases
+    /// The outcome counters.
+    pub fn stats(&self) -> WayPredictionStats {
+        self.stats
     }
 }
 
@@ -186,8 +167,9 @@ mod tests {
         let predicted = p.predict(0, b);
         assert_eq!(predicted, Some(1), "alias steers to the wrong way");
         p.record(predicted, None, false);
-        assert_eq!(p.alias_mispredicts(), 1);
-        assert_eq!(p.counts(), (0, 1, 0));
+        let s = p.stats();
+        assert_eq!(s.alias_mispredicts, 1);
+        assert_eq!((s.hits, s.mispredictions, s.cold), (0, 1, 0));
     }
 
     #[test]
@@ -207,8 +189,9 @@ mod tests {
         p.record(None, Some(0), true); // cold
         p.record(Some(0), Some(0), true); // hit
         p.record(Some(0), Some(1), true); // mispredict, not alias
-        assert_eq!(p.counts(), (1, 1, 1));
-        assert_eq!(p.alias_mispredicts(), 0);
-        assert!((p.accuracy() - 0.5).abs() < 1e-12);
+        let s = p.stats();
+        assert_eq!((s.hits, s.mispredictions, s.cold), (1, 1, 1));
+        assert_eq!(s.alias_mispredicts, 0);
+        assert!((s.accuracy() - 0.5).abs() < 1e-12);
     }
 }

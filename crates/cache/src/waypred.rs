@@ -17,9 +17,7 @@ pub struct MruWayPredictor {
     partitions: usize,
     /// Predicted way per `set × partition`; `usize::MAX` = no prediction.
     predictions: Vec<usize>,
-    hits: u64,
-    mispredictions: u64,
-    cold: u64,
+    stats: WayPredictionStats,
 }
 
 impl MruWayPredictor {
@@ -33,9 +31,7 @@ impl MruWayPredictor {
         Self {
             partitions,
             predictions: vec![usize::MAX; sets * partitions],
-            hits: 0,
-            mispredictions: 0,
-            cold: 0,
+            stats: WayPredictionStats::default(),
         }
     }
 
@@ -51,38 +47,19 @@ impl MruWayPredictor {
     pub fn update(&mut self, set: usize, partition: usize, actual_way: usize) {
         let slot = &mut self.predictions[set * self.partitions + partition];
         if *slot == usize::MAX {
-            self.cold += 1;
+            self.stats.cold += 1;
         } else if *slot == actual_way {
-            self.hits += 1;
+            self.stats.hits += 1;
         } else {
-            self.mispredictions += 1;
+            self.stats.mispredictions += 1;
         }
         *slot = actual_way;
     }
 
-    /// Fraction of trained predictions that were correct.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.hits + self.mispredictions;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// `(correct, mispredicted, cold)` counts.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.hits, self.mispredictions, self.cold)
-    }
-
-    /// The counters as a [`WayPredictionStats`] snapshot.
+    /// The counters (`alias_mispredicts` stays zero: MRU predictions are
+    /// physically verified).
     pub fn stats(&self) -> WayPredictionStats {
-        WayPredictionStats {
-            hits: self.hits,
-            mispredictions: self.mispredictions,
-            cold: self.cold,
-            alias_mispredicts: 0,
-        }
+        self.stats
     }
 }
 
@@ -130,7 +107,7 @@ mod tests {
     fn cold_start_returns_none() {
         let wp = MruWayPredictor::new(64, 2);
         assert_eq!(wp.predict(0, 0), None);
-        assert_eq!(wp.accuracy(), 0.0);
+        assert_eq!(wp.stats().accuracy(), 0.0);
     }
 
     #[test]
@@ -140,8 +117,9 @@ mod tests {
         assert_eq!(wp.predict(2, 0), Some(3));
         wp.update(2, 0, 3);
         wp.update(2, 0, 3);
-        assert_eq!(wp.counts(), (2, 0, 1));
-        assert_eq!(wp.accuracy(), 1.0);
+        let s = wp.stats();
+        assert_eq!((s.hits, s.mispredictions, s.cold), (2, 0, 1));
+        assert_eq!(s.accuracy(), 1.0);
     }
 
     #[test]
@@ -150,10 +128,10 @@ mod tests {
         for i in 0..10 {
             wp.update(0, 0, i % 2);
         }
-        let (hits, misses, cold) = wp.counts();
-        assert_eq!(cold, 1);
-        assert_eq!(hits, 0);
-        assert_eq!(misses, 9);
+        let s = wp.stats();
+        assert_eq!(s.cold, 1);
+        assert_eq!(s.hits, 0);
+        assert_eq!(s.mispredictions, 9);
     }
 
     #[test]

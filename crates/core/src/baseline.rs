@@ -1,18 +1,15 @@
 //! Baseline L1 designs: conventional VIPT (the paper's baseline) and PIPT
 //! with arbitrary associativity (the Fig. 14 alternatives).
 
-use seesaw_cache::{
-    CacheConfig, CacheStats, IndexPolicy, MoesiState, MruWayPredictor, SetAssocCache, WayMask,
-    WayPredictionStats,
-};
-use seesaw_mem::PhysAddr;
+use seesaw_cache::{CacheConfig, MruWayPredictor};
 
-use crate::{FlexibleIndex, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
+use crate::{ComposedL1, FlexibleIndex, L1Timing, Partitioning};
 
-/// A conventional L1: full-set lookups at the slow hit time. VIPT indexes
-/// with the virtual address in parallel with the TLB; PIPT must wait for
-/// the translation (the CPU model serializes TLB latency when
-/// [`BaselineL1::serializes_translation`] is true).
+/// A conventional L1: full-set lookups at the slow hit time
+/// ([`FlexibleIndex`] + full-set [`Partitioning`] + an optional MRU way
+/// predictor). VIPT indexes with the virtual address in parallel with
+/// the TLB; PIPT must wait for the translation (the CPU model serializes
+/// TLB latency for PIPT designs).
 ///
 /// # Example
 /// ```
@@ -31,144 +28,32 @@ use crate::{FlexibleIndex, L1AccessOutcome, L1DataCache, L1Request, L1Timing, Lo
 /// assert!(!l1.access(&req).hit);
 /// assert!(l1.access(&req).hit);
 /// ```
-#[derive(Debug, Clone)]
-pub struct BaselineL1 {
-    config: CacheConfig,
-    timing: L1Timing,
-    cache: SetAssocCache,
-    waypred: Option<MruWayPredictor>,
-    /// Cached geometry so the per-access path never re-derives it.
-    full: WayMask,
-    index: FlexibleIndex,
-}
+pub type BaselineL1 = ComposedL1<FlexibleIndex, Partitioning, Option<MruWayPredictor>>;
 
 impl BaselineL1 {
     /// Builds a baseline L1. `way_prediction` attaches an MRU predictor
     /// over the full set (the WP design of Fig. 15).
     pub fn new(config: CacheConfig, timing: L1Timing, way_prediction: bool) -> Self {
         let sets = config.sets();
-        Self {
-            cache: SetAssocCache::new(config),
-            waypred: way_prediction.then(|| MruWayPredictor::new(sets, 1)),
-            full: WayMask::all(config.ways),
-            index: FlexibleIndex::new(
+        ComposedL1::compose(
+            config,
+            FlexibleIndex::new(
                 sets,
                 config.line_bytes,
                 config.indexing.indexes_with_virtual_address(),
             ),
-            config,
-            timing,
-        }
-    }
-
-    #[inline]
-    fn set_of_addr(&self, addr: u64) -> usize {
-        self.index.set_of_raw(addr)
-    }
-
-    /// True if the design must wait for address translation before it can
-    /// index (PIPT).
-    pub fn serializes_translation(&self) -> bool {
-        self.config.indexing == IndexPolicy::Pipt
-    }
-
-    /// Way-predictor accuracy, if one is attached.
-    pub fn way_prediction_accuracy(&self) -> Option<f64> {
-        self.waypred.as_ref().map(|wp| wp.accuracy())
-    }
-
-    /// Way-predictor counters, if one is attached (`l1.waypred.*`).
-    pub fn way_prediction_stats(&self) -> Option<WayPredictionStats> {
-        self.waypred.as_ref().map(|wp| wp.stats())
-    }
-
-    fn ptag(&self, pa: PhysAddr) -> u64 {
-        self.config.line_of(pa)
-    }
-}
-
-impl L1DataCache for BaselineL1 {
-    fn access(&mut self, req: &L1Request) -> L1AccessOutcome {
-        let set = self.set_of_addr(if self.index.virtual_index {
-            req.va.raw()
-        } else {
-            req.pa.raw()
-        });
-        let ptag = self.ptag(req.pa);
-        let full = self.full;
-
-        let mut latency = self.timing.slow_cycles;
-        let mut way_prediction_correct = None;
-        let result = if let Some(wp) = self.waypred.as_mut() {
-            match wp.predict(set, 0) {
-                Some(w) if self.cache.peek(set, ptag, WayMask::single(w)).is_some() => {
-                    way_prediction_correct = Some(true);
-                    self.cache.read(set, ptag, WayMask::single(w))
-                }
-                Some(_) => {
-                    way_prediction_correct = Some(false);
-                    latency += self.timing.slow_cycles; // second probe round
-                    self.cache.read(set, ptag, full)
-                }
-                None => self.cache.read(set, ptag, full),
-            }
-        } else {
-            self.cache.read(set, ptag, full)
-        };
-
-        let mut evicted = None;
-        if result.hit {
-            if req.is_write {
-                // The probe above already found and touched the line; just
-                // upgrade its state (no extra probe, no extra counters).
-                self.cache.set_line_state(set, ptag, MoesiState::Modified);
-            }
-            if let (Some(wp), Some(w)) = (self.waypred.as_mut(), result.way) {
-                wp.update(set, 0, w);
-            }
-        } else {
-            evicted = self.cache.fill(set, ptag, full, req.is_write);
-            if let Some(wp) = self.waypred.as_mut() {
-                if let Some(w) = self.cache.resident_way(set, ptag) {
-                    wp.update(set, 0, w);
-                }
-            }
-        }
-
-        L1AccessOutcome {
-            hit: result.hit,
-            latency_cycles: latency,
-            ways_probed: result.ways_probed,
-            case: LookupCase::Conventional,
-            tft_hit: None,
-            evicted,
-            fast_assumption_held: true,
-            way_prediction_correct,
-            unverified_alias_way: None,
-        }
-    }
-
-    fn coherence_probe(&mut self, pa: PhysAddr, invalidate: bool) -> (bool, usize) {
-        let set = self.set_of_addr(pa.raw());
-        let ptag = self.ptag(pa);
-        let full = self.full;
-        let present = self.cache.coherence_probe(set, ptag, full, invalidate);
-        (present.is_some(), full.count())
-    }
-
-    fn total_ways(&self) -> usize {
-        self.config.ways
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+            Partitioning::full_set(config.ways, timing),
+            way_prediction.then(|| MruWayPredictor::new(sets, 1)),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seesaw_mem::{PageSize, VirtAddr};
+    use crate::{L1DataCache, L1Request, LookupCase};
+    use seesaw_cache::IndexPolicy;
+    use seesaw_mem::{PageSize, PhysAddr, VirtAddr};
 
     fn req(va: u64, pa: u64) -> L1Request {
         L1Request {
@@ -194,17 +79,9 @@ mod tests {
         let out = l1.access(&r);
         assert_eq!(out.ways_probed, 8);
         assert_eq!(out.case, LookupCase::Conventional);
-        assert!(!l1.serializes_translation());
         let out = l1.access(&r);
         assert!(out.hit);
         assert_eq!(out.latency_cycles, 2);
-    }
-
-    #[test]
-    fn pipt_baseline_serializes_translation() {
-        let cfg = CacheConfig::new(32 << 10, 4, 64, IndexPolicy::Pipt);
-        let l1 = BaselineL1::new(cfg, timing(), false);
-        assert!(l1.serializes_translation());
     }
 
     #[test]

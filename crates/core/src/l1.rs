@@ -1,14 +1,11 @@
 //! The SEESAW L1 data cache (§IV, Fig. 4, Table I).
 
-use seesaw_cache::{
-    CacheConfig, CacheStats, IndexPolicy, MoesiState, MruWayPredictor, ResidentLine,
-    SetAssocCache, WayMask, WayPredictionStats,
-};
-use seesaw_mem::{PageSize, PageTableOp, PhysAddr, VirtAddr};
+use seesaw_cache::{CacheConfig, IndexPolicy, MruWayPredictor};
+use seesaw_mem::{VirtAddr, VirtPage};
 
 use crate::{
-    InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
-    PartitionDecoder, SeesawPartitioning, TftStats, TranslationFilterTable, VirtualIndex,
+    ComposedL1, DesignStats, InsertionPolicy, L1Timing, LookupCase, LookupPlan, PartitionDecoder,
+    PartitionPolicy, Partitioning, TftStats, TranslationFilterTable, VirtualIndex,
 };
 
 /// Configuration of a SEESAW L1.
@@ -128,319 +125,172 @@ impl SeesawStats {
     }
 }
 
-/// The SEESAW L1 data cache.
-///
-/// See the crate-level example for typical use. Drive [`SeesawL1::tft_fill`]
-/// from the TLB hierarchy's superpage-fill events and
-/// [`SeesawL1::handle_op`] from page-table operations; call
-/// [`SeesawL1::context_switch`] when the core switches address spaces.
-///
-/// Composed from the policy layer (the `policy` module): virtual set
-/// indexing ([`VirtualIndex`]), the precomputed Table I plan tables
-/// ([`SeesawPartitioning`]), and optional MRU way prediction — all held
-/// concretely so the hot path compiles to the same indexed loads as the
-/// pre-refactor monolith.
+/// SEESAW's partition policy (Table I): the TFT, the precomputed plan
+/// rows keyed by `((tft_hit << 1) | is_superpage) × partitions +
+/// va_partition`, and the Table I case counters.
 #[derive(Debug, Clone)]
-pub struct SeesawL1 {
+pub struct SeesawPartitioning {
     config: SeesawConfig,
-    cache: SetAssocCache,
+    tables: Partitioning,
     tft: TranslationFilterTable,
-    decoder: PartitionDecoder,
-    waypred: Option<MruWayPredictor>,
     stats: SeesawStats,
-    /// Precomputed branch-free plan/victim/coherence tables.
-    policy: SeesawPartitioning,
-    index: VirtualIndex,
-    full_mask: WayMask,
 }
 
-impl SeesawL1 {
-    /// Builds a SEESAW L1.
-    pub fn new(config: SeesawConfig, timing: L1Timing) -> Self {
-        let sets = config.cache.sets();
-        let decoder = PartitionDecoder::new(
-            sets,
-            config.cache.ways,
-            config.cache.line_bytes,
-            config.partitions,
-        );
-        let waypred = config
-            .way_prediction
-            .then(|| MruWayPredictor::new(sets, config.partitions));
-        let policy = SeesawPartitioning::new(&decoder, config.insertion, timing);
-        Self {
-            cache: SetAssocCache::new(config.cache),
-            tft: TranslationFilterTable::new(config.tft_entries),
-            full_mask: decoder.full_mask(),
-            decoder,
-            waypred,
-            stats: SeesawStats::default(),
-            policy,
-            index: VirtualIndex::new(sets, config.cache.line_bytes),
-            config,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SeesawConfig {
-        &self.config
-    }
-
-    /// The partition decoder.
-    pub fn decoder(&self) -> &PartitionDecoder {
-        &self.decoder
-    }
-
-    /// Trains the TFT with a superpage region (wired to the 2 MB L1 TLB's
-    /// fill events, Fig. 5 step 8).
-    pub fn tft_fill(&mut self, va: VirtAddr) {
-        self.tft.fill(va);
-    }
-
-    /// Reacts to a page-table operation: TFT invalidation on splintering
-    /// and the L1 sweep on promotion (§IV-C2). Returns the cycles the
-    /// operation stalls the core (the paper hides the sweep inside the
-    /// 150–200-cycle TLB-shootdown window, so only sweeps report cost).
-    pub fn handle_op(&mut self, op: &PageTableOp) -> u64 {
-        match op {
-            PageTableOp::Mapped(_) => 0,
-            PageTableOp::Unmapped(page) | PageTableOp::Splintered(page) => {
-                if page.size() == PageSize::Super2M {
-                    self.tft.invalidate(*page);
+impl SeesawPartitioning {
+    /// Precomputes every row from the configuration and timing (Table I
+    /// rows 1–4) and builds the TFT.
+    pub(crate) fn new(config: SeesawConfig, timing: L1Timing) -> Self {
+        let decoder = PartitionDecoder::of(&config.cache, config.partitions);
+        let full = decoder.full_mask();
+        let tables = Partitioning::new(decoder, config.insertion, 4, |key, narrow| {
+            if key & 0b10 != 0 {
+                // TFT hit: partition lookup only (Table I rows 1-2); the
+                // case is refined to a miss variant after the probe.
+                LookupPlan {
+                    mask: narrow,
+                    latency: timing.fast_cycles,
+                    case: LookupCase::SuperTftHitCacheHit,
+                    fast_held: true,
                 }
-                0
+            } else {
+                // Conservative full-set lookup (Table I rows 3-4).
+                LookupPlan {
+                    mask: full,
+                    latency: timing.slow_cycles,
+                    case: if key & 0b01 != 0 {
+                        LookupCase::SuperTftMiss
+                    } else {
+                        LookupCase::BasePage
+                    },
+                    fast_held: false,
+                }
             }
-            PageTableOp::Promoted { old_frames, .. } => {
-                // Evict every line belonging to the invalidated base pages.
-                let mut frame_lines: Vec<(u64, u64)> = old_frames
-                    .iter()
-                    .map(|f| {
-                        let first = f.base().raw() / self.config.cache.line_bytes;
-                        let count = f.size().bytes() / self.config.cache.line_bytes;
-                        (first, first + count)
-                    })
-                    .collect();
-                frame_lines.sort_unstable();
-                let evicted = self.cache.sweep(|ptag| {
-                    frame_lines
-                        .binary_search_by(|&(lo, hi)| {
-                            if ptag < lo {
-                                std::cmp::Ordering::Greater
-                            } else if ptag >= hi {
-                                std::cmp::Ordering::Less
-                            } else {
-                                std::cmp::Ordering::Equal
-                            }
-                        })
-                        .is_ok()
-                });
-                self.stats.sweeps += 1;
-                self.stats.swept_lines += evicted.len() as u64;
-                // "We have found 150-200 cycles ample to perform a full
-                // cache sweep" — hidden under the TLB invalidation the OS
-                // already pays for, so no *additional* stall.
-                0
-            }
+        });
+        Self {
+            tft: TranslationFilterTable::new(config.tft_entries),
+            config,
+            tables,
+            stats: SeesawStats::default(),
         }
-    }
-
-    /// Flushes the TFT on a context switch (no ASID tags, §IV-C3).
-    pub fn context_switch(&mut self) {
-        self.tft.flush();
-    }
-
-    /// TFT counters.
-    pub fn tft_stats(&self) -> TftStats {
-        self.tft.stats()
-    }
-
-    /// SEESAW-specific counters.
-    pub fn seesaw_stats(&self) -> SeesawStats {
-        self.stats
-    }
-
-    /// Way-predictor accuracy, if one is attached.
-    pub fn way_prediction_accuracy(&self) -> Option<f64> {
-        self.waypred.as_ref().map(|wp| wp.accuracy())
-    }
-
-    /// Way-predictor counters, if one is attached (`l1.waypred.*`).
-    pub fn way_prediction_stats(&self) -> Option<WayPredictionStats> {
-        self.waypred.as_ref().map(|wp| wp.stats())
-    }
-
-    /// The precomputed partition-policy tables (lab/audit surface).
-    pub fn partitioning(&self) -> &SeesawPartitioning {
-        &self.policy
-    }
-
-    /// Asks the TFT whether it vouches for `va`, without counting the
-    /// probe as a demand lookup. Audit hook for the differential checker's
-    /// splinter-precision invariant (§IV-C2).
-    pub fn tft_probe(&self, va: VirtAddr) -> bool {
-        self.tft.probe(va)
-    }
-
-    /// Iterates every valid line without touching LRU or statistics.
-    /// Audit hook for the differential checker's promotion-sweep
-    /// invariant.
-    pub fn resident_lines(&self) -> impl Iterator<Item = ResidentLine> + '_ {
-        self.cache.resident_lines()
-    }
-
-    /// Counts resident lines that sit outside the partition their
-    /// physical address names. Under a partition-deterministic insertion
-    /// policy (`4way`) this must be zero, or the narrow coherence path
-    /// cannot find them (§IV-C1); under VA-partition insertion the count
-    /// is meaningless and `None` is returned.
-    pub fn audit_partition_reachability(&self) -> Option<usize> {
-        if !self.config.insertion.lines_are_partition_deterministic() {
-            return None;
-        }
-        let line_bytes = self.config.cache.line_bytes;
-        let unreachable = self
-            .cache
-            .resident_lines()
-            .filter(|line| {
-                let pa = PhysAddr::new(line.ptag * line_bytes);
-                !self
-                    .decoder
-                    .mask_of(self.decoder.partition_of_pa(pa))
-                    .contains(line.way)
-            })
-            .count();
-        Some(unreachable)
-    }
-
-    /// True if the line holding `pa` is resident, checked side-effect
-    /// free (no LRU, no coherence transition, no counters).
-    pub fn peek_pa(&self, pa: PhysAddr) -> bool {
-        let set = self.index.set_of_raw(pa.raw());
-        self.cache.peek(set, self.ptag(pa), self.full_mask).is_some()
-    }
-
-    fn ptag(&self, pa: PhysAddr) -> u64 {
-        self.config.cache.line_of(pa)
     }
 }
 
-impl L1DataCache for SeesawL1 {
-    fn access(&mut self, req: &L1Request) -> L1AccessOutcome {
-        let set = self.index.set_of_raw(req.va.raw());
-        let p_va = self.decoder.partition_of_va(req.va);
-        let ptag = self.ptag(req.pa);
+impl PartitionPolicy for SeesawPartitioning {
+    fn tables(&self) -> &Partitioning {
+        &self.tables
+    }
+
+    #[inline]
+    fn plan(
+        &mut self,
+        va: VirtAddr,
+        is_superpage: bool,
+        va_partition: usize,
+    ) -> (LookupPlan, Option<bool>) {
         // The TFT is kept precise by invalidation/flush, so a hit proves a
         // superpage access. That invariant is not asserted here: the
         // differential checker (seesaw-check) owns it, so fault-injection
         // tests can break the invalidation on purpose and watch the checker
         // report it instead of crashing inside the cache model.
-        let tft_hit = self.tft.lookup(req.va);
-        let is_superpage = req.page_size.is_superpage();
-
-        // Everything the TFT verdict and page size decide — mask, latency,
-        // Table I case, fast-path assumption — is one precomputed row.
+        let tft_hit = self.tft.lookup(va);
         let key = ((tft_hit as usize) << 1) | (is_superpage as usize);
-        let sel = self.policy.plan_row(key, p_va);
-        let lookup_mask = sel.mask;
+        (self.tables.plan_row(key, va_partition), Some(tft_hit))
+    }
 
-        // Optional way prediction inside the presented mask (§IV-B2).
-        let mut latency = sel.latency;
-        let mut way_prediction_correct = None;
-        let result = if let Some(wp) = self.waypred.as_mut() {
-            let predicted = wp.predict(set, p_va).filter(|&w| lookup_mask.contains(w));
-            match predicted {
-                Some(w) if self.cache.peek(set, ptag, WayMask::single(w)).is_some() => {
-                    way_prediction_correct = Some(true);
-                    self.cache.read(set, ptag, WayMask::single(w))
-                }
-                Some(_) => {
-                    // Mispredict: a second probe round at the same width.
-                    way_prediction_correct = Some(false);
-                    latency += sel.latency;
-                    self.cache.read(set, ptag, lookup_mask)
-                }
-                None => self.cache.read(set, ptag, lookup_mask),
-            }
-        } else {
-            self.cache.read(set, ptag, lookup_mask)
-        };
-
-        let mut case = sel.case;
-        let mut evicted = None;
-        if result.hit {
-            if req.is_write {
-                // The probe above already found and touched the line; just
-                // upgrade its state (no extra probe, no extra counters).
-                self.cache.set_line_state(set, ptag, MoesiState::Modified);
-            }
-            if let (Some(wp), Some(w)) = (self.waypred.as_mut(), result.way) {
-                wp.update(set, p_va, w);
-            }
-        } else {
-            if case == LookupCase::SuperTftHitCacheHit {
-                case = LookupCase::SuperTftHitCacheMiss;
-            }
-            if case == LookupCase::SuperTftMiss {
-                self.stats.super_tft_miss_l1_miss += 1;
-            }
-            let p_pa = self.decoder.partition_of_pa(req.pa);
-            debug_assert!(
-                !is_superpage || p_pa == p_va,
-                "superpage partition bits must match between VA and PA"
-            );
-            let victim_mask = self.policy.victim_row(is_superpage, p_pa);
-            evicted = self.cache.fill(set, ptag, victim_mask, req.is_write);
-            if let Some(wp) = self.waypred.as_mut() {
-                if let Some(w) = self.cache.resident_way(set, ptag) {
-                    wp.update(set, p_va, w);
-                }
-            }
-        }
-
+    #[inline]
+    fn record(&mut self, case: LookupCase, hit: bool) {
         match case {
             LookupCase::SuperTftHitCacheHit => self.stats.super_tft_hit_cache_hit += 1,
             LookupCase::SuperTftHitCacheMiss => self.stats.super_tft_hit_cache_miss += 1,
-            LookupCase::SuperTftMiss => self.stats.super_tft_miss += 1,
+            LookupCase::SuperTftMiss => {
+                self.stats.super_tft_miss += 1;
+                if !hit {
+                    self.stats.super_tft_miss_l1_miss += 1;
+                }
+            }
             LookupCase::BasePage => self.stats.base_page += 1,
             LookupCase::Conventional => unreachable!("SEESAW access is never Conventional"),
         }
-
-        L1AccessOutcome {
-            hit: result.hit,
-            latency_cycles: latency,
-            ways_probed: result.ways_probed,
-            case,
-            tft_hit: Some(tft_hit),
-            evicted,
-            fast_assumption_held: sel.fast_held,
-            way_prediction_correct,
-            unverified_alias_way: None,
-        }
     }
 
-    fn coherence_probe(&mut self, pa: PhysAddr, invalidate: bool) -> (bool, usize) {
-        let set = self.index.set_of_raw(pa.raw());
-        let ptag = self.ptag(pa);
-        // The 4way insertion policy pins every line to its physical
-        // partition, so every coherence probe is narrow (§IV-C1); the
-        // per-partition masks are precomputed either way.
-        let mask = self.policy.coherence_row(self.decoder.partition_of_pa(pa));
-        let present = self.cache.coherence_probe(set, ptag, mask, invalidate);
-        (present.is_some(), mask.count())
+    fn sweeps_promotions(&self) -> bool {
+        true
     }
 
-    fn total_ways(&self) -> usize {
-        self.config.cache.ways
+    fn record_sweep(&mut self, lines: usize) {
+        self.stats.sweeps += 1;
+        self.stats.swept_lines += lines as u64;
     }
 
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+    fn tft_fill(&mut self, va: VirtAddr) {
+        self.tft.fill(va);
+    }
+
+    fn tft_probe(&self, va: VirtAddr) -> Option<bool> {
+        Some(self.tft.probe(va))
+    }
+
+    fn invalidate_region(&mut self, page: VirtPage) {
+        self.tft.invalidate(page);
+    }
+
+    fn flush(&mut self) {
+        self.tft.flush();
+    }
+
+    fn report(&self, stats: &mut DesignStats) {
+        stats.seesaw = Some(self.stats);
+        stats.tft = Some(self.tft.stats());
+    }
+}
+
+/// The SEESAW L1 data cache: virtual set indexing ([`VirtualIndex`]),
+/// SEESAW's partition policy with its TFT ([`SeesawPartitioning`]), and
+/// an optional MRU way predictor (the WP+SEESAW design of Fig. 15).
+///
+/// See the crate-level example for typical use. Drive
+/// [`tft_fill`](crate::L1DataCache::tft_fill) from the TLB hierarchy's
+/// superpage-fill events and [`handle_op`](crate::L1DataCache::handle_op)
+/// from page-table operations; call
+/// [`context_switch`](crate::L1DataCache::context_switch) when the core
+/// switches address spaces.
+pub type SeesawL1 = ComposedL1<VirtualIndex, SeesawPartitioning, Option<MruWayPredictor>>;
+
+impl SeesawL1 {
+    /// Builds a SEESAW L1.
+    pub fn new(config: SeesawConfig, timing: L1Timing) -> Self {
+        let sets = config.cache.sets();
+        ComposedL1::compose(
+            config.cache,
+            VirtualIndex::new(sets, config.cache.line_bytes),
+            SeesawPartitioning::new(config, timing),
+            config
+                .way_prediction
+                .then(|| MruWayPredictor::new(sets, config.partitions)),
+        )
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &SeesawConfig {
+        &self.policy.config
+    }
+
+    /// TFT counters.
+    pub fn tft_stats(&self) -> TftStats {
+        self.policy.tft.stats()
+    }
+
+    /// SEESAW-specific counters.
+    pub fn seesaw_stats(&self) -> SeesawStats {
+        self.policy.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{L1DataCache, L1Request};
+    use seesaw_mem::{PageSize, PageTableOp, PhysAddr};
 
     fn timing() -> L1Timing {
         L1Timing {

@@ -13,6 +13,19 @@
 //! *physical* partition bits, which also lets every coherence probe —
 //! superpage or not — search a single partition (§IV-C1).
 //!
+//! # One skeleton, many designs
+//!
+//! Every VIPT/PIPT design here is one generic type, [`ComposedL1`],
+//! whose three bounds are the design: an [`IndexSelect`] (which bits
+//! pick the set), a [`PartitionPolicy`] (which ways a lookup, fill and
+//! coherence probe touch, plus any TFT and per-case counters) and a
+//! [`WayPredict`] (which way to try first). [`SeesawL1`], [`VespaL1`],
+//! [`BaselineL1`] and [`MicroTagL1`] are instantiations; [`VivtL1`],
+//! whose synonym maps are not a plan row, is its own type. All of them
+//! implement [`L1DataCache`], whose lifecycle hooks (TFT fills, page-table
+//! operations, context switches, audits, stats) are no-ops on designs
+//! without the machinery.
+//!
 //! # Example
 //!
 //! ```
@@ -45,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod baseline;
+mod composed;
 mod insertion;
 mod l1;
 mod microtag;
@@ -57,16 +71,18 @@ mod vespa;
 mod vivt;
 
 pub use baseline::BaselineL1;
+pub use composed::ComposedL1;
 pub use insertion::InsertionPolicy;
-pub use l1::{SeesawConfig, SeesawL1, SeesawStats};
-pub use microtag::{MicroTagConfig, MicroTagL1};
+pub use l1::{SeesawConfig, SeesawL1, SeesawPartitioning, SeesawStats};
+pub use microtag::{MicroTagConfig, MicroTagL1, MicroTagPrediction};
 pub use partition::PartitionDecoder;
 pub use policy::{
-    FlexibleIndex, IndexSelect, LookupPlan, PartitionPolicy, SeesawPartitioning, VespaPartitioning,
-    VirtualIndex, WayPredict,
+    FlexibleIndex, IndexSelect, LookupPlan, PartitionPolicy, Partitioning, VirtualIndex, WayPredict,
 };
 pub use sched::{HitTimeAssumption, SchedulerHint};
 pub use tft::{TftStats, TranslationFilterTable};
-pub use traits::{L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
-pub use vespa::{VespaConfig, VespaL1, VespaStats};
+pub use traits::{
+    DesignStats, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase, PromotionAudit,
+};
+pub use vespa::{VespaConfig, VespaL1, VespaPartitioning, VespaStats};
 pub use vivt::{SynonymStats, VivtL1};

@@ -16,15 +16,9 @@
 //! chaos knob `skip_way_verification`) models exactly that hardware bug
 //! so fault-injection tests can watch the checker catch it.
 
-use seesaw_cache::{
-    CacheConfig, CacheStats, MicroTagPredictor, MoesiState, SetAssocCache, WayMask,
-    WayPredictionStats,
-};
-use seesaw_mem::PhysAddr;
+use seesaw_cache::{CacheConfig, MicroTagPredictor, SetAssocCache, WayPredictionStats};
 
-use crate::{
-    L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase, VirtualIndex, WayPredict,
-};
+use crate::{ComposedL1, L1Timing, Partitioning, VirtualIndex, WayPredict};
 
 /// Configuration of a µtag-predicted baseline L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,191 +47,119 @@ impl MicroTagConfig {
     }
 }
 
-/// Baseline VIPT with a µtag way predictor.
+/// The µtag as a [`WayPredict`] layer: the predictor plus the
+/// verification switch. Outcomes are counted at prediction time
+/// ([`WayPredict::note_outcome`]), a mispredict also pays for its
+/// discarded single-way probe, invalidated lines drop their µtag, and a
+/// context switch flushes them all.
 #[derive(Debug, Clone)]
-pub struct MicroTagL1 {
-    config: MicroTagConfig,
-    timing: L1Timing,
-    cache: SetAssocCache,
+pub struct MicroTagPrediction {
     utag: MicroTagPredictor,
-    index: VirtualIndex,
-    /// Shift that isolates the virtual tag (bits above the set index).
-    vtag_shift: u32,
-    full: WayMask,
+    /// Verify the predicted way's physical tag before serving the hit.
+    verify_tags: bool,
     /// Aliased hits served without verification (chaos mode only).
     unverified_served: u64,
 }
+
+impl MicroTagPrediction {
+    /// Wraps a predictor; `verify_tags: false` arms the alias bug.
+    pub(crate) fn new(utag: MicroTagPredictor, verify_tags: bool) -> Self {
+        Self {
+            utag,
+            verify_tags,
+            unverified_served: 0,
+        }
+    }
+}
+
+impl WayPredict for MicroTagPrediction {
+    #[inline]
+    fn predict(&self, set: usize, _partition: usize, vtag: u64) -> Option<usize> {
+        self.utag.predict(set, vtag)
+    }
+
+    #[inline]
+    fn train(&mut self, set: usize, _partition: usize, vtag: u64, way: usize) {
+        self.utag.train(set, way, vtag);
+    }
+
+    // A miss lands in `note_outcome(None, ..)` too, which is correct: a
+    // miss has no way to predict.
+    #[inline]
+    fn note_outcome(
+        &mut self,
+        predicted: Option<usize>,
+        actual: Option<usize>,
+        tag_verified: bool,
+    ) {
+        self.utag.record(predicted, actual, tag_verified);
+    }
+
+    fn serve_unverified(&mut self, way: usize) -> bool {
+        if self.verify_tags {
+            return false;
+        }
+        self.unverified_served += 1;
+        self.utag.record(Some(way), Some(way), true);
+        true
+    }
+
+    /// Correct hardware detects the alias and pays a second full-set
+    /// round; the discarded single-way probe still energized a way.
+    fn mispredict_probe_ways(&self) -> usize {
+        1
+    }
+
+    /// A stale µtag would steer predictions to an invalid way.
+    fn forget_line(&mut self, cache: &SetAssocCache, set: usize, ptag: u64) {
+        if let Some(way) = cache.resident_way(set, ptag) {
+            self.utag.invalidate(set, way);
+        }
+    }
+
+    /// The µtag is virtually tagged and ASID-less, so an address-space
+    /// switch invalidates all of it.
+    fn flush(&mut self) {
+        self.utag.flush();
+    }
+
+    fn stats(&self) -> Option<WayPredictionStats> {
+        Some(self.utag.stats())
+    }
+}
+
+/// Baseline VIPT with a µtag way predictor: [`VirtualIndex`] +
+/// full-set [`Partitioning`] + [`MicroTagPrediction`].
+pub type MicroTagL1 = ComposedL1<VirtualIndex, Partitioning, MicroTagPrediction>;
 
 impl MicroTagL1 {
     /// Builds a µtag-predicted L1.
     pub fn new(config: MicroTagConfig, timing: L1Timing) -> Self {
         let sets = config.cache.sets();
-        let index = VirtualIndex::new(sets, config.cache.line_bytes);
-        Self {
-            cache: SetAssocCache::new(config.cache),
-            utag: MicroTagPredictor::new(sets, config.cache.ways),
-            vtag_shift: index.set_shift + (sets as u64).trailing_zeros(),
-            index,
-            full: WayMask::all(config.cache.ways),
-            unverified_served: 0,
-            config,
-            timing,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MicroTagConfig {
-        &self.config
-    }
-
-    /// Drops every µtag: the predictor is virtually tagged and ASID-less,
-    /// so an address-space switch invalidates all of it.
-    pub fn context_switch(&mut self) {
-        self.utag.flush();
-    }
-
-    /// Way-predictor counters (`l1.waypred.*`), including the
-    /// alias-mispredict count unique to µtag prediction.
-    pub fn way_prediction_stats(&self) -> WayPredictionStats {
-        WayPredict::stats(&self.utag)
-    }
-
-    /// Way-predictor accuracy.
-    pub fn way_prediction_accuracy(&self) -> Option<f64> {
-        Some(self.utag.accuracy())
+        ComposedL1::compose(
+            config.cache,
+            VirtualIndex::new(sets, config.cache.line_bytes),
+            Partitioning::full_set(config.cache.ways, timing),
+            MicroTagPrediction::new(
+                MicroTagPredictor::new(sets, config.cache.ways),
+                config.verify_tags,
+            ),
+        )
     }
 
     /// Aliased hits served without tag verification — nonzero only when
     /// the `skip_way_verification` chaos knob armed the deliberate bug.
     pub fn unverified_served(&self) -> u64 {
-        self.unverified_served
-    }
-
-    fn ptag(&self, pa: PhysAddr) -> u64 {
-        self.config.cache.line_of(pa)
-    }
-}
-
-impl L1DataCache for MicroTagL1 {
-    fn access(&mut self, req: &L1Request) -> L1AccessOutcome {
-        let set = self.index.set_of_raw(req.va.raw());
-        let vtag = req.va.raw() >> self.vtag_shift;
-        let ptag = self.ptag(req.pa);
-        let full = self.full;
-
-        let mut latency = self.timing.slow_cycles;
-        let mut way_prediction_correct = None;
-        let mut unverified_alias_way = None;
-        let mut extra_probed = 0usize;
-        let predicted = self.utag.predict(set, vtag);
-        let result = match predicted {
-            Some(w) if self.cache.peek(set, ptag, WayMask::single(w)).is_some() => {
-                // µtag steered us to the right way and the physical tag
-                // verifies: a one-way probe at the normal hit latency.
-                way_prediction_correct = Some(true);
-                self.utag.record(predicted, Some(w), true);
-                self.cache.read(set, ptag, WayMask::single(w))
-            }
-            Some(w) => {
-                // The µtag matched but the way holds a different physical
-                // line (virtual alias) or went invalid under us.
-                if self.config.verify_tags {
-                    // Correct hardware: detect the alias, pay a second
-                    // full-set round.
-                    way_prediction_correct = Some(false);
-                    latency += self.timing.slow_cycles;
-                    extra_probed = 1; // the discarded single-way probe
-                    let result = self.cache.read(set, ptag, full);
-                    self.utag.record(predicted, result.way, false);
-                    result
-                } else {
-                    // The deliberate bug: serve the aliased way as a hit
-                    // without verification. The line delivered belongs to
-                    // a different physical address; the shadow checker's
-                    // way-prediction-alias invariant must flag this.
-                    self.unverified_served += 1;
-                    self.utag.record(predicted, Some(w), true);
-                    unverified_alias_way = Some(w);
-                    return L1AccessOutcome {
-                        hit: true,
-                        latency_cycles: latency,
-                        ways_probed: 1,
-                        case: LookupCase::Conventional,
-                        tft_hit: None,
-                        evicted: None,
-                        fast_assumption_held: true,
-                        way_prediction_correct: Some(true),
-                        unverified_alias_way,
-                    };
-                }
-            }
-            None => {
-                // No µtag match: a full-set probe (and a cold-predictor
-                // tally; misses land here too, which is correct — a miss
-                // has no way to predict).
-                let result = self.cache.read(set, ptag, full);
-                self.utag.record(None, result.way, true);
-                result
-            }
-        };
-
-        let mut evicted = None;
-        if result.hit {
-            if req.is_write {
-                self.cache.set_line_state(set, ptag, MoesiState::Modified);
-            }
-            if let Some(w) = result.way {
-                self.utag.train(set, w, vtag);
-            }
-        } else {
-            evicted = self.cache.fill(set, ptag, full, req.is_write);
-            if let Some(w) = self.cache.resident_way(set, ptag) {
-                self.utag.train(set, w, vtag);
-            }
-        }
-
-        L1AccessOutcome {
-            hit: result.hit,
-            latency_cycles: latency,
-            ways_probed: result.ways_probed + extra_probed,
-            case: LookupCase::Conventional,
-            tft_hit: None,
-            evicted,
-            fast_assumption_held: true,
-            way_prediction_correct,
-            unverified_alias_way,
-        }
-    }
-
-    fn coherence_probe(&mut self, pa: PhysAddr, invalidate: bool) -> (bool, usize) {
-        let set = self.index.set_of_raw(pa.raw());
-        let ptag = self.ptag(pa);
-        let full = self.full;
-        if invalidate {
-            if let Some(way) = self.cache.resident_way(set, ptag) {
-                // The line is about to go; a stale µtag would steer
-                // predictions to an invalid way.
-                self.utag.invalidate(set, way);
-            }
-        }
-        let present = self.cache.coherence_probe(set, ptag, full, invalidate);
-        (present.is_some(), full.count())
-    }
-
-    fn total_ways(&self) -> usize {
-        self.config.cache.ways
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.waypred.unverified_served
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{L1DataCache, L1Request};
     use seesaw_cache::IndexPolicy;
-    use seesaw_mem::{PageSize, VirtAddr};
+    use seesaw_mem::{PageSize, PhysAddr, VirtAddr};
 
     fn l1(verify: bool) -> MicroTagL1 {
         let cfg = MicroTagConfig::new(CacheConfig::new(32 << 10, 8, 64, IndexPolicy::Vipt));
@@ -277,7 +199,7 @@ mod tests {
         assert_eq!(out.way_prediction_correct, Some(true));
         assert_eq!(out.ways_probed, 1);
         assert_eq!(out.latency_cycles, 2);
-        assert_eq!(l1.way_prediction_stats().hits, 1);
+        assert_eq!(l1.design_stats().way_prediction.unwrap().hits, 1);
     }
 
     #[test]
@@ -291,7 +213,7 @@ mod tests {
         assert_eq!(out.way_prediction_correct, Some(false));
         assert_eq!(out.latency_cycles, 4, "alias pays double latency");
         assert_eq!(out.unverified_alias_way, None, "verification caught it");
-        assert_eq!(l1.way_prediction_stats().alias_mispredicts, 1);
+        assert_eq!(l1.design_stats().way_prediction.unwrap().alias_mispredicts, 1);
     }
 
     #[test]
@@ -347,7 +269,7 @@ mod tests {
         let out = l1.access(&a); // b's train evicted a's µtag
         assert_eq!(out.way_prediction_correct, None);
         assert_eq!(out.ways_probed, 8);
-        assert_eq!(l1.way_prediction_stats().cold, 3);
-        assert_eq!(l1.way_prediction_stats().alias_mispredicts, 0);
+        assert_eq!(l1.design_stats().way_prediction.unwrap().cold, 3);
+        assert_eq!(l1.design_stats().way_prediction.unwrap().alias_mispredicts, 0);
     }
 }

@@ -7,7 +7,7 @@
 //! 2 MB page offset (bits 20:0), which is the property SEESAW exploits:
 //! for superpages the *virtual* partition bits equal the *physical* ones.
 
-use seesaw_cache::WayMask;
+use seesaw_cache::{CacheConfig, WayMask};
 use seesaw_mem::{PageSize, PhysAddr, VirtAddr};
 
 /// Computes partition indices and way masks for a partitioned VIPT cache.
@@ -44,6 +44,21 @@ impl PartitionDecoder {
             partitions,
             total_ways,
             low_bit,
+        }
+    }
+
+    /// The decoder of `partitions` partitions over `cache`'s geometry.
+    pub(crate) fn of(cache: &CacheConfig, partitions: usize) -> Self {
+        Self::new(cache.sets(), cache.ways, cache.line_bytes, partitions)
+    }
+
+    /// A decoder for one partition spanning all `total_ways` ways (the
+    /// conventional array, whatever its set count).
+    pub(crate) fn single(total_ways: usize) -> Self {
+        Self {
+            partitions: 1,
+            total_ways,
+            low_bit: 0,
         }
     }
 

@@ -2,8 +2,10 @@
 //! designs and SEESAW, so the CPU timing models and the experiment
 //! harness drive every design through one code path.
 
-use seesaw_cache::EvictedLine;
-use seesaw_mem::{PageSize, PhysAddr, VirtAddr};
+use seesaw_cache::{EvictedLine, WayPredictionStats};
+use seesaw_mem::{PageFrame, PageSize, PageTableOp, PhysAddr, VirtAddr};
+
+use crate::{SeesawStats, SynonymStats, TftStats, VespaStats};
 
 /// One demand access presented to the L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +82,43 @@ pub struct L1AccessOutcome {
     pub unverified_alias_way: Option<usize>,
 }
 
-/// The interface every L1 design implements.
+/// Each design's own counters, `None` where the design has no such
+/// machinery.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DesignStats {
+    /// SEESAW's Table I case counters.
+    pub seesaw: Option<SeesawStats>,
+    /// SEESAW's TFT counters.
+    pub tft: Option<TftStats>,
+    /// VESPA's counters.
+    pub vespa: Option<VespaStats>,
+    /// VIVT's synonym-machinery counters.
+    pub synonyms: Option<SynonymStats>,
+    /// The way predictor's counters (`l1.waypred.*`).
+    pub way_prediction: Option<WayPredictionStats>,
+}
+
+/// What a design's structures must satisfy right after a promotion, for
+/// the differential checker to audit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PromotionAudit {
+    /// A partitioned array swept the migrated-away frames.
+    Swept {
+        /// Resident lines of those frames (must be zero).
+        resident: usize,
+        /// Resident lines outside the partition their physical address
+        /// names (must be zero); `None` when insertion does not pin lines
+        /// to partitions.
+        unreachable: Option<usize>,
+    },
+    /// Every physical line a virtually-tagged array's back-pointers name
+    /// (none may lie in a freed frame).
+    Mappings(Vec<u64>),
+}
+
+/// The interface every L1 design implements: the demand and coherence
+/// paths, plus the lifecycle hooks the run loop drives on every design
+/// alike (each a no-op unless the design has the machinery).
 pub trait L1DataCache {
     /// Services a demand access: looks up the line and, on a miss, fills
     /// it (evicting per the design's insertion policy). The caller charges
@@ -96,6 +134,36 @@ pub trait L1DataCache {
 
     /// Aggregate cache statistics.
     fn cache_stats(&self) -> seesaw_cache::CacheStats;
+
+    /// Trains the TFT with a superpage region (wired to the 2 MB L1 TLB's
+    /// fill events, Fig. 5 step 8).
+    fn tft_fill(&mut self, _va: VirtAddr) {}
+
+    /// Whether the TFT vouches for `va`, without counting the probe as a
+    /// demand lookup; `None` without a TFT. Audit hook for the checker's
+    /// splinter-precision invariant (§IV-C2).
+    fn tft_probe(&self, _va: VirtAddr) -> Option<bool> {
+        None
+    }
+
+    /// Reacts to a page-table operation (TFT invalidation, promotion
+    /// sweeps, VIVT remapping).
+    fn handle_op(&mut self, _op: &PageTableOp) {}
+
+    /// Drops the state an address-space switch invalidates (the
+    /// ASID-less TFT, §IV-C3, and a virtually-keyed µtag).
+    fn context_switch(&mut self) {}
+
+    /// The structural facts to audit after a promotion that migrated
+    /// `old_frames`; `None` when the design keeps none.
+    fn promotion_audit(&self, _old_frames: &[PageFrame]) -> Option<PromotionAudit> {
+        None
+    }
+
+    /// The design's own counters.
+    fn design_stats(&self) -> DesignStats {
+        DesignStats::default()
+    }
 }
 
 #[cfg(test)]

@@ -15,12 +15,12 @@
 //! against wasted narrow-probe energy on base-page accesses — exactly
 //! the kind of head-to-head the competing-design lab exists to measure.
 
-use seesaw_cache::{CacheStats, MoesiState, ResidentLine, SetAssocCache};
-use seesaw_mem::{PageTableOp, PhysAddr};
+use seesaw_cache::MruWayPredictor;
+use seesaw_mem::VirtAddr;
 
 use crate::{
-    InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
-    PartitionDecoder, SeesawConfig, VespaPartitioning, VirtualIndex,
+    ComposedL1, DesignStats, InsertionPolicy, L1Timing, LookupCase, LookupPlan, PartitionDecoder,
+    PartitionPolicy, Partitioning, SeesawConfig, VirtualIndex,
 };
 
 /// Configuration of a VESPA L1: the SEESAW geometry without the TFT.
@@ -84,198 +84,132 @@ impl VespaStats {
     }
 }
 
-/// The VESPA L1 data cache: superpage-aware narrow lookups without a
-/// TFT. Composed from the same policy layer as SEESAW
-/// ([`VirtualIndex`] + [`VespaPartitioning`]).
+/// VESPA's partition policy: no TFT — the page size arrives from the TLB
+/// in parallel with the (speculative) narrow probe, so every superpage
+/// access takes the narrow partition lookup at the fast latency and every
+/// base-page access pays the conservative full-set lookup plus the
+/// discarded narrow probe. Plan rows are keyed by
+/// `is_superpage × partitions + va_partition`.
 #[derive(Debug, Clone)]
-pub struct VespaL1 {
-    config: VespaConfig,
-    cache: SetAssocCache,
-    decoder: PartitionDecoder,
-    policy: VespaPartitioning,
-    index: VirtualIndex,
+pub struct VespaPartitioning {
+    tables: Partitioning,
     stats: VespaStats,
 }
 
-impl VespaL1 {
-    /// Builds a VESPA L1.
-    pub fn new(config: VespaConfig, timing: L1Timing) -> Self {
-        let sets = config.cache.sets();
-        let decoder = PartitionDecoder::new(
-            sets,
-            config.cache.ways,
-            config.cache.line_bytes,
-            config.partitions,
-        );
-        let policy = VespaPartitioning::new(&decoder, config.insertion, timing);
-        Self {
-            cache: SetAssocCache::new(config.cache),
-            decoder,
-            policy,
-            index: VirtualIndex::new(sets, config.cache.line_bytes),
-            stats: VespaStats::default(),
-            config,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &VespaConfig {
-        &self.config
-    }
-
-    /// VESPA-specific counters.
-    pub fn vespa_stats(&self) -> VespaStats {
-        self.stats
-    }
-
-    /// Reacts to a page-table operation. VESPA has no TFT to invalidate;
-    /// only promotions matter (the frame migration's L1 sweep, same as
-    /// SEESAW's §IV-C2 discipline).
-    pub fn handle_op(&mut self, op: &PageTableOp) -> u64 {
-        match op {
-            PageTableOp::Mapped(_) | PageTableOp::Unmapped(_) | PageTableOp::Splintered(_) => 0,
-            PageTableOp::Promoted { old_frames, .. } => {
-                let mut frame_lines: Vec<(u64, u64)> = old_frames
-                    .iter()
-                    .map(|f| {
-                        let first = f.base().raw() / self.config.cache.line_bytes;
-                        let count = f.size().bytes() / self.config.cache.line_bytes;
-                        (first, first + count)
-                    })
-                    .collect();
-                frame_lines.sort_unstable();
-                let evicted = self.cache.sweep(|ptag| {
-                    frame_lines
-                        .binary_search_by(|&(lo, hi)| {
-                            if ptag < lo {
-                                std::cmp::Ordering::Greater
-                            } else if ptag >= hi {
-                                std::cmp::Ordering::Less
-                            } else {
-                                std::cmp::Ordering::Equal
-                            }
-                        })
-                        .is_ok()
-                });
-                self.stats.sweeps += 1;
-                self.stats.swept_lines += evicted.len() as u64;
-                0
+impl VespaPartitioning {
+    /// Precomputes every row from the configuration and timing.
+    pub(crate) fn new(config: VespaConfig, timing: L1Timing) -> Self {
+        let decoder = PartitionDecoder::of(&config.cache, config.partitions);
+        let full = decoder.full_mask();
+        let tables = Partitioning::new(decoder, config.insertion, 2, |is_superpage, narrow| {
+            if is_superpage == 1 {
+                // Superpage partition bits are translation-invariant, so
+                // the narrow probe is *always* correct — VESPA's whole
+                // point: the SEESAW fast path without a TFT.
+                LookupPlan {
+                    mask: narrow,
+                    latency: timing.fast_cycles,
+                    case: LookupCase::SuperTftHitCacheHit,
+                    fast_held: true,
+                }
+            } else {
+                LookupPlan {
+                    mask: full,
+                    latency: timing.slow_cycles,
+                    case: LookupCase::BasePage,
+                    fast_held: true,
+                }
             }
+        });
+        Self {
+            tables,
+            stats: VespaStats::default(),
         }
-    }
-
-    /// Iterates every valid line without touching LRU or statistics
-    /// (checker audit hook).
-    pub fn resident_lines(&self) -> impl Iterator<Item = ResidentLine> + '_ {
-        self.cache.resident_lines()
-    }
-
-    /// Counts resident lines outside the partition their physical address
-    /// names (see [`SeesawL1::audit_partition_reachability`]).
-    ///
-    /// [`SeesawL1::audit_partition_reachability`]: crate::SeesawL1::audit_partition_reachability
-    pub fn audit_partition_reachability(&self) -> Option<usize> {
-        if !self.config.insertion.lines_are_partition_deterministic() {
-            return None;
-        }
-        let line_bytes = self.config.cache.line_bytes;
-        let unreachable = self
-            .cache
-            .resident_lines()
-            .filter(|line| {
-                let pa = PhysAddr::new(line.ptag * line_bytes);
-                !self
-                    .decoder
-                    .mask_of(self.decoder.partition_of_pa(pa))
-                    .contains(line.way)
-            })
-            .count();
-        Some(unreachable)
-    }
-
-    fn ptag(&self, pa: PhysAddr) -> u64 {
-        self.config.cache.line_of(pa)
     }
 }
 
-impl L1DataCache for VespaL1 {
-    fn access(&mut self, req: &L1Request) -> L1AccessOutcome {
-        let set = self.index.set_of_raw(req.va.raw());
-        let p_va = self.decoder.partition_of_va(req.va);
-        let ptag = self.ptag(req.pa);
-        let is_superpage = req.page_size.is_superpage();
-        let plan = self.policy.plan_row(is_superpage, p_va);
+impl PartitionPolicy for VespaPartitioning {
+    fn tables(&self) -> &Partitioning {
+        &self.tables
+    }
 
-        let result = self.cache.read(set, ptag, plan.mask);
-        // Base pages pay for the discarded speculative narrow probe: its
-        // ways count toward lookup energy but find nothing usable.
-        let mut ways_probed = result.ways_probed;
-        if !is_superpage {
-            let wasted = self.policy.ways_per_partition();
-            ways_probed += wasted;
-            self.stats.wasted_probe_ways += wasted as u64;
+    #[inline]
+    fn plan(
+        &mut self,
+        _va: VirtAddr,
+        is_superpage: bool,
+        va_partition: usize,
+    ) -> (LookupPlan, Option<bool>) {
+        (
+            self.tables.plan_row(is_superpage as usize, va_partition),
+            None,
+        )
+    }
+
+    /// Base pages pay for the discarded speculative narrow probe: its
+    /// ways count toward lookup energy but find nothing usable.
+    #[inline]
+    fn wasted_probe_ways(&mut self, is_superpage: bool) -> usize {
+        if is_superpage {
+            return 0;
         }
+        let wasted = self.tables.decoder().ways_per_partition();
+        self.stats.wasted_probe_ways += wasted as u64;
+        wasted
+    }
 
-        let mut case = plan.case;
-        let mut evicted = None;
-        if result.hit {
-            if req.is_write {
-                self.cache.set_line_state(set, ptag, MoesiState::Modified);
-            }
-        } else {
-            if case == LookupCase::SuperTftHitCacheHit {
-                case = LookupCase::SuperTftHitCacheMiss;
-            }
-            let p_pa = self.decoder.partition_of_pa(req.pa);
-            debug_assert!(
-                !is_superpage || p_pa == p_va,
-                "superpage partition bits must match between VA and PA"
-            );
-            let victim_mask = self.policy.victim_row(is_superpage, p_pa);
-            evicted = self.cache.fill(set, ptag, victim_mask, req.is_write);
-        }
-
+    #[inline]
+    fn record(&mut self, case: LookupCase, _hit: bool) {
         match case {
             LookupCase::SuperTftHitCacheHit => self.stats.super_fast_hits += 1,
             LookupCase::SuperTftHitCacheMiss => self.stats.super_fast_misses += 1,
             LookupCase::BasePage => self.stats.base_accesses += 1,
             _ => unreachable!("VESPA access is fast-super or base-page"),
         }
-
-        L1AccessOutcome {
-            hit: result.hit,
-            latency_cycles: plan.latency,
-            ways_probed,
-            case,
-            tft_hit: None,
-            evicted,
-            fast_assumption_held: plan.fast_held,
-            way_prediction_correct: None,
-            unverified_alias_way: None,
-        }
     }
 
-    fn coherence_probe(&mut self, pa: PhysAddr, invalidate: bool) -> (bool, usize) {
-        let set = self.index.set_of_raw(pa.raw());
-        let ptag = self.ptag(pa);
-        let mask = self.policy.coherence_row(self.decoder.partition_of_pa(pa));
-        let present = self.cache.coherence_probe(set, ptag, mask, invalidate);
-        (present.is_some(), mask.count())
+    /// VESPA has no TFT to invalidate; only promotions matter (the frame
+    /// migration's L1 sweep, same as SEESAW's §IV-C2 discipline).
+    fn sweeps_promotions(&self) -> bool {
+        true
     }
 
-    fn total_ways(&self) -> usize {
-        self.config.cache.ways
+    fn record_sweep(&mut self, lines: usize) {
+        self.stats.sweeps += 1;
+        self.stats.swept_lines += lines as u64;
     }
 
-    fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+    fn report(&self, stats: &mut DesignStats) {
+        stats.vespa = Some(self.stats);
+    }
+}
+
+/// The VESPA L1 data cache: superpage-aware narrow lookups without a
+/// TFT — [`VirtualIndex`] + [`VespaPartitioning`], no way predictor.
+pub type VespaL1 = ComposedL1<VirtualIndex, VespaPartitioning, Option<MruWayPredictor>>;
+
+impl VespaL1 {
+    /// Builds a VESPA L1.
+    pub fn new(config: VespaConfig, timing: L1Timing) -> Self {
+        ComposedL1::compose(
+            config.cache,
+            VirtualIndex::new(config.cache.sets(), config.cache.line_bytes),
+            VespaPartitioning::new(config, timing),
+            None,
+        )
+    }
+
+    /// VESPA-specific counters.
+    pub fn vespa_stats(&self) -> VespaStats {
+        self.policy.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seesaw_mem::{PageSize, VirtAddr};
+    use crate::{L1DataCache, L1Request};
+    use seesaw_mem::{PageSize, PageTableOp, PhysAddr};
 
     fn timing() -> L1Timing {
         L1Timing {

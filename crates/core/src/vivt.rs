@@ -16,9 +16,12 @@
 use std::collections::HashMap;
 
 use seesaw_cache::{CacheConfig, CacheStats, IndexPolicy, SetAssocCache, WayMask};
-use seesaw_mem::{PageTableOp, PhysAddr};
+use seesaw_mem::{PageFrame, PageTableOp, PhysAddr};
 
-use crate::{L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
+use crate::{
+    DesignStats, FlexibleIndex, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
+    PromotionAudit,
+};
 
 seesaw_trace::counters! {
     /// Counters for the synonym machinery.
@@ -72,9 +75,8 @@ pub struct VivtL1 {
     stats: SynonymStats,
     /// Cached geometry so the per-access path never re-derives it.
     full: WayMask,
-    sets: usize,
-    /// `sets - 1` when the set count is a power of two, else zero.
-    set_mask: usize,
+    /// Set of a virtual *line* address.
+    index: FlexibleIndex,
 }
 
 impl VivtL1 {
@@ -82,7 +84,6 @@ impl VivtL1 {
     /// Every hit completes in `timing.fast_cycles` — no TLB involved.
     pub fn new(size_bytes: u64, ways: usize, timing: L1Timing) -> Self {
         let config = CacheConfig::new(size_bytes, ways, 64, IndexPolicy::Vivt);
-        let sets = config.sets();
         Self {
             cache: SetAssocCache::new(config),
             reverse: HashMap::new(),
@@ -91,65 +92,18 @@ impl VivtL1 {
             timing,
             stats: SynonymStats::default(),
             full: WayMask::all(ways),
-            sets,
-            set_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
+            index: FlexibleIndex::new(config.sets(), 1, true),
         }
     }
 
     #[inline]
     fn set_of_line(&self, line: u64) -> usize {
-        if self.set_mask != 0 {
-            (line as usize) & self.set_mask
-        } else {
-            (line as usize) % self.sets
-        }
+        self.index.set_of_raw(line)
     }
 
     /// Synonym-machinery counters.
     pub fn synonym_stats(&self) -> SynonymStats {
         self.stats
-    }
-
-    /// Reacts to a page-table operation. A virtually-tagged array keeps
-    /// hitting on a VA whose translation changed underneath it, and its
-    /// back-pointers keep naming the old frames — so unlike a conventional
-    /// physically-tagged L1, VIVT *must* observe remappings. On a
-    /// promotion the frames migrate: every line whose back-pointer falls
-    /// in a migrated-away frame is evicted (stale data *and* a stale
-    /// writeback address otherwise). On an unmap the page's virtual lines
-    /// are evicted. A splinter leaves PAs unchanged, so nothing to do.
-    pub fn handle_op(&mut self, op: &PageTableOp) -> u64 {
-        match op {
-            PageTableOp::Mapped(_) | PageTableOp::Splintered(_) => 0,
-            PageTableOp::Unmapped(page) => {
-                let first = page.base().raw() / self.config.line_bytes;
-                let count = page.size().bytes() / self.config.line_bytes;
-                self.sweep_vlines(|vline| vline >= first && vline < first + count);
-                0
-            }
-            PageTableOp::Promoted { old_frames, .. } => {
-                let ranges: Vec<(u64, u64)> = old_frames
-                    .iter()
-                    .map(|f| {
-                        let first = f.base().raw() / self.config.line_bytes;
-                        let count = f.size().bytes() / self.config.line_bytes;
-                        (first, first + count)
-                    })
-                    .collect();
-                let reverse = &self.reverse;
-                let stale: Vec<u64> = ranges
-                    .iter()
-                    .flat_map(|&(lo, hi)| lo..hi)
-                    .filter_map(|pline| reverse.get(&pline).copied())
-                    .collect();
-                self.stats.mapping_sweeps += 1;
-                for vline in stale {
-                    self.stats.swept_lines += 1;
-                    self.evict_alias(vline);
-                }
-                0
-            }
-        }
     }
 
     /// Every physical line the back-pointer maps currently reference —
@@ -269,6 +223,52 @@ impl L1DataCache for VivtL1 {
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Reacts to a page-table operation. A virtually-tagged array keeps
+    /// hitting on a VA whose translation changed underneath it, and its
+    /// back-pointers keep naming the old frames — so unlike a conventional
+    /// physically-tagged L1, VIVT *must* observe remappings. On a
+    /// promotion the frames migrate: every line whose back-pointer falls
+    /// in a migrated-away frame is evicted (stale data *and* a stale
+    /// writeback address otherwise). On an unmap the page's virtual lines
+    /// are evicted. A splinter leaves PAs unchanged, so nothing to do.
+    fn handle_op(&mut self, op: &PageTableOp) {
+        match op {
+            PageTableOp::Mapped(_) | PageTableOp::Splintered(_) => {}
+            PageTableOp::Unmapped(page) => {
+                let first = page.base().raw() / self.config.line_bytes;
+                let count = page.size().bytes() / self.config.line_bytes;
+                self.sweep_vlines(|vline| vline >= first && vline < first + count);
+            }
+            PageTableOp::Promoted { old_frames, .. } => {
+                let line_bytes = self.config.line_bytes;
+                let stale: Vec<u64> = old_frames
+                    .iter()
+                    .flat_map(|f| {
+                        let first = f.base().raw() / line_bytes;
+                        first..first + f.size().bytes() / line_bytes
+                    })
+                    .filter_map(|pline| self.reverse.get(&pline).copied())
+                    .collect();
+                self.stats.mapping_sweeps += 1;
+                for vline in stale {
+                    self.stats.swept_lines += 1;
+                    self.evict_alias(vline);
+                }
+            }
+        }
+    }
+
+    fn promotion_audit(&self, _old_frames: &[PageFrame]) -> Option<PromotionAudit> {
+        Some(PromotionAudit::Mappings(self.mapped_plines().collect()))
+    }
+
+    fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            synonyms: Some(self.stats),
+            ..DesignStats::default()
+        }
     }
 }
 

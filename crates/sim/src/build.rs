@@ -14,8 +14,8 @@ use seesaw_coherence::{
     CoherenceMode, CoherenceTraffic, CoherenceTrafficConfig, DirectoryController,
 };
 use seesaw_core::{
-    BaselineL1, L1Timing, MicroTagConfig, MicroTagL1, SchedulerHint, SeesawConfig, SeesawL1,
-    VespaConfig, VespaL1, VivtL1,
+    BaselineL1, L1DataCache, L1Timing, MicroTagConfig, MicroTagL1, SchedulerHint, SeesawConfig,
+    SeesawL1, VespaConfig, VespaL1, VivtL1,
 };
 use seesaw_energy::{EnergyAccount, EnergyModel, SramModel};
 use seesaw_mem::{
@@ -26,7 +26,7 @@ use seesaw_workloads::TraceGenerator;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::core::{Core, L1Flavor, TranslationIntern};
+use crate::core::{Core, TranslationIntern};
 use crate::system::System;
 use crate::uncore::Uncore;
 use crate::{CpuKind, L1DesignKind, ProbeSource, RunConfig, SimError};
@@ -36,39 +36,48 @@ use crate::{CpuKind, L1DesignKind, ProbeSource, RunConfig, SimError};
 /// bit-for-bit.
 const CORE_SEED_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One L1 instance plus the timing facts the run loop needs about it.
-pub(crate) struct L1Build {
-    pub l1: L1Flavor,
+/// What the run loop needs to know about the L1 design beyond its
+/// [`L1DataCache`] calls.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct L1Design {
     pub timing: L1Timing,
-    pub total_ways: usize,
+    /// PIPT: indexing waits for the translation.
     pub serializes: bool,
-    /// Ways one coherence probe reads in this design (SEESAW and VESPA
-    /// probe a single partition, §IV-C1; everything else reads the full
-    /// set).
+    /// SEESAW: a TFT to train, charge and flush, and a variable hit time
+    /// for the out-of-order scheduler to assume.
+    pub has_tft: bool,
+    /// VIVT: hits never consult the TLB; misses translate on the way out.
+    pub virtually_tagged: bool,
+    /// Ways one coherence probe reads (SEESAW and VESPA probe a single
+    /// partition, §IV-C1; everything else reads the full set).
     pub probe_ways: usize,
 }
 
 /// Builds one L1 instance of the configured design.
-pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
+pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> (Box<dyn L1DataCache>, L1Design) {
     let ghz = config.frequency.ghz();
     let size_kb = config.l1_size_kb;
     let baseline_ways = config.baseline_ways();
-    match config.design {
+    let flat = |ways| {
+        let slow = sram.full_lookup_cycles(size_kb, ways, ghz);
+        L1Timing {
+            fast_cycles: slow,
+            slow_cycles: slow,
+        }
+    };
+    // SEESAW's and VESPA's timing menu: a partition lookup or a full-set
+    // lookup.
+    let partitioned = |partitions| L1Timing {
+        fast_cycles: sram.partition_lookup_cycles(size_kb, baseline_ways, partitions, ghz),
+        slow_cycles: sram.full_lookup_cycles(size_kb, baseline_ways, ghz),
+    };
+    let vipt = CacheConfig::new(size_kb << 10, baseline_ways, 64, IndexPolicy::Vipt);
+    let (l1, timing, probe_ways): (Box<dyn L1DataCache>, _, _) = match config.design {
         L1DesignKind::BaselineVipt | L1DesignKind::BaselineWithWayPrediction => {
-            let slow = sram.full_lookup_cycles(size_kb, baseline_ways, ghz);
-            let timing = L1Timing {
-                fast_cycles: slow,
-                slow_cycles: slow,
-            };
-            let cache = CacheConfig::new(size_kb << 10, baseline_ways, 64, IndexPolicy::Vipt);
+            let timing = flat(baseline_ways);
             let wp = config.design == L1DesignKind::BaselineWithWayPrediction;
-            L1Build {
-                l1: L1Flavor::Baseline(BaselineL1::new(cache, timing, wp)),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways: baseline_ways,
-            }
+            let l1 = BaselineL1::new(vipt, timing, wp);
+            (Box::new(l1), timing, baseline_ways)
         }
         L1DesignKind::Seesaw | L1DesignKind::SeesawWithWayPrediction => {
             let mut seesaw_cfg = SeesawConfig::with_size_kb(size_kb)
@@ -80,38 +89,19 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
             if config.design == L1DesignKind::SeesawWithWayPrediction {
                 seesaw_cfg = seesaw_cfg.with_way_prediction();
             }
-            let timing = L1Timing {
-                fast_cycles: sram.partition_lookup_cycles(
-                    size_kb,
-                    baseline_ways,
-                    seesaw_cfg.partitions,
-                    ghz,
-                ),
-                slow_cycles: sram.full_lookup_cycles(size_kb, baseline_ways, ghz),
-            };
+            let timing = partitioned(seesaw_cfg.partitions);
             let probe_ways = (baseline_ways / seesaw_cfg.partitions).max(1);
-            L1Build {
-                l1: L1Flavor::Seesaw(Box::new(SeesawL1::new(seesaw_cfg, timing))),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways,
-            }
+            let l1 = SeesawL1::new(seesaw_cfg, timing);
+            (Box::new(l1), timing, probe_ways)
         }
         L1DesignKind::Pipt { ways } => {
-            let slow = sram.full_lookup_cycles(size_kb, ways, ghz);
-            let timing = L1Timing {
-                fast_cycles: slow,
-                slow_cycles: slow,
-            };
+            let timing = flat(ways);
             let cache = CacheConfig::new(size_kb << 10, ways, 64, IndexPolicy::Pipt);
-            L1Build {
-                l1: L1Flavor::Baseline(BaselineL1::new(cache, timing, false)),
+            (
+                Box::new(BaselineL1::new(cache, timing, false)),
                 timing,
-                total_ways: ways,
-                serializes: true,
-                probe_ways: ways,
-            }
+                ways,
+            )
         }
         L1DesignKind::Vivt { ways } => {
             let fast = sram.full_lookup_cycles(size_kb, ways, ghz);
@@ -120,48 +110,29 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
                 // The slow path is a synonym remap: two probe rounds.
                 slow_cycles: fast * 2,
             };
-            L1Build {
-                l1: L1Flavor::Vivt(Box::new(VivtL1::new(size_kb << 10, ways, timing))),
+            (
+                Box::new(VivtL1::new(size_kb << 10, ways, timing)),
                 timing,
-                total_ways: ways,
-                serializes: false,
-                probe_ways: ways,
-            }
+                ways,
+            )
         }
         L1DesignKind::Vespa => {
             // SEESAW's geometry and timing menu, minus the TFT: the fast
-            // narrow probe launches unconditionally, so the TFT-entry knob
-            // is irrelevant but the partition override still applies.
+            // narrow probe launches unconditionally, so the TFT-entry
+            // knob is irrelevant but the partition override still
+            // applies.
             let mut vespa_cfg = VespaConfig::with_size_kb(size_kb);
             vespa_cfg.insertion = config.insertion;
             if let Some(partitions) = config.seesaw_partitions {
                 vespa_cfg.partitions = partitions;
             }
-            let timing = L1Timing {
-                fast_cycles: sram.partition_lookup_cycles(
-                    size_kb,
-                    baseline_ways,
-                    vespa_cfg.partitions,
-                    ghz,
-                ),
-                slow_cycles: sram.full_lookup_cycles(size_kb, baseline_ways, ghz),
-            };
+            let timing = partitioned(vespa_cfg.partitions);
             let probe_ways = (baseline_ways / vespa_cfg.partitions).max(1);
-            L1Build {
-                l1: L1Flavor::Vespa(Box::new(VespaL1::new(vespa_cfg, timing))),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways,
-            }
+            let l1 = VespaL1::new(vespa_cfg, timing);
+            (Box::new(l1), timing, probe_ways)
         }
         L1DesignKind::BaselineMicroTag => {
-            let slow = sram.full_lookup_cycles(size_kb, baseline_ways, ghz);
-            let timing = L1Timing {
-                fast_cycles: slow,
-                slow_cycles: slow,
-            };
-            let cache = CacheConfig::new(size_kb << 10, baseline_ways, 64, IndexPolicy::Vipt);
+            let timing = flat(baseline_ways);
             // The chaos knob models hardware that serves a µtag match
             // without verifying the physical tag — the bug the checker's
             // way-prediction-alias invariant exists to catch.
@@ -170,19 +141,25 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
                 .map(|f| f.chaos.skip_way_verification)
                 .unwrap_or(false);
             let utag_cfg = if verify {
-                MicroTagConfig::new(cache)
+                MicroTagConfig::new(vipt)
             } else {
-                MicroTagConfig::new(cache).without_verification()
+                MicroTagConfig::new(vipt).without_verification()
             };
-            L1Build {
-                l1: L1Flavor::MicroTag(Box::new(MicroTagL1::new(utag_cfg, timing))),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways: baseline_ways,
-            }
+            let l1 = MicroTagL1::new(utag_cfg, timing);
+            (Box::new(l1), timing, baseline_ways)
         }
-    }
+    };
+    let design = L1Design {
+        timing,
+        serializes: matches!(config.design, L1DesignKind::Pipt { .. }),
+        has_tft: matches!(
+            config.design,
+            L1DesignKind::Seesaw | L1DesignKind::SeesawWithWayPrediction
+        ),
+        virtually_tagged: matches!(config.design, L1DesignKind::Vivt { .. }),
+        probe_ways,
+    };
+    (l1, design)
 }
 
 /// The memory half of a built system: fragmented physical memory, the
@@ -345,19 +322,10 @@ impl System {
         let sram = SramModel::tsmc28_scaled_22nm();
         let n = config.cores.max(1);
         let mut cores = Vec::with_capacity(n);
-        let mut timing = L1Timing {
-            fast_cycles: 0,
-            slow_cycles: 0,
-        };
-        let mut total_ways = 0;
-        let mut serializes = false;
-        let mut probe_ways = 1;
+        let mut l1_design = None;
         for id in 0..n {
-            let built = build_l1(config, &sram);
-            timing = built.timing;
-            total_ways = built.total_ways;
-            serializes = built.serializes;
-            probe_ways = built.probe_ways;
+            let (l1, design) = build_l1(config, &sram);
+            l1_design = Some(design);
             // Each core streams its own workload instance, decorrelated
             // by a Weyl stride; core 0 keeps the run's base seed so the
             // single-core stream is unchanged by the refactor.
@@ -377,7 +345,7 @@ impl System {
             cores.push(Core {
                 id,
                 tlbs: TlbHierarchy::new(Self::tlb_config(config)),
-                l1: built.l1,
+                l1,
                 generator: TraceGenerator::new(&config.workload, config.seed ^ lane),
                 hint: SchedulerHint::default(),
                 traffic,
@@ -405,6 +373,8 @@ impl System {
             });
         }
 
+        let l1_design = l1_design.expect("at least one core");
+        let total_ways = cores[0].l1.total_ways();
         // The real coherence substrate: a functional model of every
         // core's L1 tag state under MOESI, sized like the timing L1s,
         // probing one partition per delivery for SEESAW designs.
@@ -416,7 +386,7 @@ impl System {
             } else {
                 CoherenceMode::Directory
             };
-            DirectoryController::new(n, geometry, mode, probe_ways)
+            DirectoryController::new(n, geometry, mode, l1_design.probe_ways)
         });
 
         let outer_cfg = OuterHierarchyConfig::table_ii(config.frequency.ghz());
@@ -428,8 +398,7 @@ impl System {
 
         Ok(System {
             config: config.clone(),
-            timing,
-            serializes_translation: serializes,
+            l1_design,
             cores,
             uncore: Uncore {
                 pmem,

@@ -10,58 +10,12 @@
 
 use std::sync::Arc;
 
-use seesaw_cache::WayPredictionStats;
 use seesaw_check::{FaultInjector, ShadowChecker};
 use seesaw_coherence::CoherenceTraffic;
-use seesaw_core::{BaselineL1, L1DataCache, MicroTagL1, SchedulerHint, SeesawL1, VespaL1, VivtL1};
+use seesaw_core::{L1DataCache, SchedulerHint};
 use seesaw_mem::{AddressSpace, PhysAddr, Translation, VirtAddr};
 use seesaw_tlb::TlbHierarchy;
 use seesaw_workloads::{TraceGenerator, TraceRef};
-
-/// The L1 design under test, unified for the run loop.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum L1Flavor {
-    Baseline(BaselineL1),
-    Seesaw(Box<SeesawL1>),
-    Vivt(Box<VivtL1>),
-    Vespa(Box<VespaL1>),
-    MicroTag(Box<MicroTagL1>),
-}
-
-impl L1Flavor {
-    pub(crate) fn as_dyn(&mut self) -> &mut dyn L1DataCache {
-        match self {
-            L1Flavor::Baseline(l1) => l1,
-            L1Flavor::Seesaw(l1) => l1.as_mut(),
-            L1Flavor::Vivt(l1) => l1.as_mut(),
-            L1Flavor::Vespa(l1) => l1.as_mut(),
-            L1Flavor::MicroTag(l1) => l1.as_mut(),
-        }
-    }
-
-    pub(crate) fn seesaw(&mut self) -> Option<&mut SeesawL1> {
-        match self {
-            L1Flavor::Seesaw(l1) => Some(l1),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn is_vivt(&self) -> bool {
-        matches!(self, L1Flavor::Vivt(_))
-    }
-
-    /// Way-predictor counters of whichever predictor the design carries
-    /// (MRU for baseline/SEESAW `*WithWayPrediction`, the µtag for
-    /// [`L1Flavor::MicroTag`]); `None` when the design has none.
-    pub(crate) fn way_prediction_stats(&self) -> Option<WayPredictionStats> {
-        match self {
-            L1Flavor::Baseline(l1) => l1.way_prediction_stats(),
-            L1Flavor::Seesaw(l1) => l1.way_prediction_stats(),
-            L1Flavor::MicroTag(l1) => Some(l1.way_prediction_stats()),
-            L1Flavor::Vivt(_) | L1Flavor::Vespa(_) => None,
-        }
-    }
-}
 
 /// One simulated core. All cores of a run are threads of the same
 /// process: they share the address space and outer hierarchy held by
@@ -73,7 +27,8 @@ pub(crate) struct Core {
     /// Core index (also the directory's requester id).
     pub id: usize,
     pub tlbs: TlbHierarchy,
-    pub l1: L1Flavor,
+    /// The L1 design under test (with its TFT, if any).
+    pub l1: Box<dyn L1DataCache>,
     pub generator: TraceGenerator,
     pub hint: SchedulerHint,
     /// Synthetic probe stream ([`crate::ProbeSource::Synthetic`] only);

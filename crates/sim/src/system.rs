@@ -6,7 +6,9 @@
 
 use seesaw_cache::{CacheStats, MemoryLevel, WayPredictionStats};
 use seesaw_check::{AccessCheck, CheckEvent, CheckerSummary, FaultKind, InjectionStats};
-use seesaw_core::{HitTimeAssumption, L1Request, L1Timing, SeesawStats, TftStats, VespaStats};
+use seesaw_core::{
+    DesignStats, HitTimeAssumption, L1Request, PromotionAudit, SeesawStats, TftStats, VespaStats,
+};
 use seesaw_cpu::{CpuModel, InOrderCpu, OooCpu, RunTotals};
 
 use seesaw_mem::{
@@ -20,10 +22,10 @@ use seesaw_trace::{
 use seesaw_workloads::TraceRef;
 
 use crate::build::{
-    memory_image_key, stream_cache, warm_outer_cache, StreamArtifact, STREAM_CACHE_CAP,
+    memory_image_key, stream_cache, warm_outer_cache, L1Design, StreamArtifact, STREAM_CACHE_CAP,
     WARM_OUTER_CAP,
 };
-use crate::core::{Core, L1Flavor};
+use crate::core::Core;
 use crate::status::{ActiveProgress, NoProgress, Progress};
 use crate::uncore::Uncore;
 use seesaw_trace::ops::CellPhase;
@@ -65,12 +67,9 @@ struct SampleWindow {
 }
 
 impl SampleWindow {
-    fn capture<C: CpuModel>(core: &mut Core, cpu: &C) -> SampleWindow {
-        let l1 = core.l1.as_dyn().cache_stats();
-        let tft = match &mut core.l1 {
-            L1Flavor::Seesaw(s) => s.tft_stats(),
-            _ => TftStats::default(),
-        };
+    fn capture<C: CpuModel>(core: &Core, cpu: &C) -> SampleWindow {
+        let l1 = core.l1.cache_stats();
+        let tft = core.l1.design_stats().tft.unwrap_or_default();
         SampleWindow {
             instructions: cpu.instructions(),
             cycles: cpu.cycles(),
@@ -115,8 +114,7 @@ impl SampleWindow {
 /// `build` module); see the crate-level example for typical use.
 pub struct System {
     pub(crate) config: RunConfig,
-    pub(crate) timing: L1Timing,
-    pub(crate) serializes_translation: bool,
+    pub(crate) l1_design: L1Design,
     pub(crate) cores: Vec<Core>,
     pub(crate) uncore: Uncore,
 }
@@ -321,8 +319,7 @@ impl System {
         }
         if let Err(e) = interleave(
             &self.config,
-            self.timing,
-            self.serializes_translation,
+            self.l1_design,
             &mut self.cores,
             &mut self.uncore,
             &mut warm_cpus,
@@ -354,34 +351,18 @@ impl System {
             tlb_l2: Option<TlbStats>,
             walker: WalkerStats,
             walk_hist: Log2Histogram,
-            seesaw: SeesawStats,
-            tft: TftStats,
-            vespa: VespaStats,
-            waypred: Option<WayPredictionStats>,
+            design: DesignStats,
         }
         let before: Vec<CoreBefore> = self
             .cores
-            .iter_mut()
-            .map(|core| {
-                let (seesaw, tft) = match &mut core.l1 {
-                    L1Flavor::Seesaw(l) => (l.seesaw_stats(), l.tft_stats()),
-                    _ => (SeesawStats::default(), TftStats::default()),
-                };
-                let vespa = match &core.l1 {
-                    L1Flavor::Vespa(v) => v.vespa_stats(),
-                    _ => VespaStats::default(),
-                };
-                CoreBefore {
-                    l1: core.l1.as_dyn().cache_stats(),
-                    tlb: core.tlbs.l1_stats(),
-                    tlb_l2: core.tlbs.l2_stats(),
-                    walker: core.tlbs.walker_stats(),
-                    walk_hist: core.tlbs.walker_latency_hist(),
-                    seesaw,
-                    tft,
-                    vespa,
-                    waypred: core.l1.way_prediction_stats(),
-                }
+            .iter()
+            .map(|core| CoreBefore {
+                l1: core.l1.cache_stats(),
+                tlb: core.tlbs.l1_stats(),
+                tlb_l2: core.tlbs.l2_stats(),
+                walker: core.tlbs.walker_stats(),
+                walk_hist: core.tlbs.walker_latency_hist(),
+                design: core.l1.design_stats(),
             })
             .collect();
 
@@ -393,8 +374,7 @@ impl System {
                 let mut cpus: Vec<InOrderCpu> = (0..n).map(|_| InOrderCpu::atom()).collect();
                 if let Err(e) = interleave(
                     &self.config,
-                    self.timing,
-                    self.serializes_translation,
+                    self.l1_design,
                     &mut self.cores,
                     &mut self.uncore,
                     &mut cpus,
@@ -412,8 +392,7 @@ impl System {
                 let mut cpus: Vec<OooCpu> = (0..n).map(|_| OooCpu::sandybridge()).collect();
                 if let Err(e) = interleave(
                     &self.config,
-                    self.timing,
-                    self.serializes_translation,
+                    self.l1_design,
                     &mut self.cores,
                     &mut self.uncore,
                     &mut cpus,
@@ -446,40 +425,24 @@ impl System {
         let mut walker_total = WalkerStats::default();
         let mut seesaw_stats = SeesawStats::default();
         let mut tft_stats = TftStats::default();
-        let mut vespa_stats = VespaStats::default();
+        let mut vespa_stats: Option<VespaStats> = None;
         let mut waypred_stats: Option<WayPredictionStats> = None;
         let mut walk_latency: Option<Log2Histogram> = None;
         let mut miss_penalty: Option<Log2Histogram> = None;
         let mut core_results: Vec<CoreResult> = Vec::with_capacity(n);
         for (i, core) in self.cores.iter_mut().enumerate() {
             let b = &before[i];
-            let l1 = core.l1.as_dyn().cache_stats().delta(&b.l1);
-            let (seesaw, tft, wp_acc) = match &mut core.l1 {
-                L1Flavor::Seesaw(s) => (
-                    s.seesaw_stats().delta(&b.seesaw),
-                    s.tft_stats().delta(&b.tft),
-                    s.way_prediction_accuracy(),
-                ),
-                L1Flavor::Baseline(bl) => (
-                    SeesawStats::default(),
-                    TftStats::default(),
-                    bl.way_prediction_accuracy(),
-                ),
-                L1Flavor::MicroTag(m) => (
-                    SeesawStats::default(),
-                    TftStats::default(),
-                    m.way_prediction_accuracy(),
-                ),
-                L1Flavor::Vivt(_) | L1Flavor::Vespa(_) => {
-                    (SeesawStats::default(), TftStats::default(), None)
-                }
-            };
-            if let L1Flavor::Vespa(v) = &core.l1 {
-                vespa_stats.merge(&v.vespa_stats().delta(&b.vespa));
+            let l1 = core.l1.cache_stats().delta(&b.l1);
+            let now = core.l1.design_stats();
+            let seesaw = window(now.seesaw, b.design.seesaw);
+            let tft = window(now.tft, b.design.tft);
+            if let Some(v) = now.vespa {
+                merge_window(&mut vespa_stats, &v, b.design.vespa);
             }
-            if let Some(now) = core.l1.way_prediction_stats() {
-                merge_window(&mut waypred_stats, &now, b.waypred);
+            if let Some(wp) = now.way_prediction {
+                merge_window(&mut waypred_stats, &wp, b.design.way_prediction);
             }
+            let wp_acc = now.way_prediction.map(|wp| wp.accuracy());
             if let Some(now) = core.tlbs.l2_stats() {
                 merge_window(&mut tlb_l2_stats, &now, b.tlb_l2);
             }
@@ -561,8 +524,8 @@ impl System {
         walk_latency.collect("tlb.walk_latency", &mut metrics);
         seesaw_stats.collect("seesaw", &mut metrics);
         tft_stats.collect("tft", &mut metrics);
-        if matches!(self.cores[0].l1, L1Flavor::Vespa(_)) {
-            vespa_stats.collect("vespa", &mut metrics);
+        if let Some(v) = vespa_stats.as_ref() {
+            v.collect("vespa", &mut metrics);
         }
         if let Some(wp) = waypred_stats.as_ref() {
             wp.collect("l1.waypred", &mut metrics);
@@ -592,8 +555,8 @@ impl System {
         }
         self.uncore.space.thp_stats().collect("os.thp", &mut metrics);
         self.uncore.pmem.stats().collect("os.buddy", &mut metrics);
-        if let L1Flavor::Vivt(v) = &self.cores[0].l1 {
-            v.synonym_stats().collect("vivt", &mut metrics);
+        if let Some(synonyms) = self.cores[0].l1.design_stats().synonyms {
+            synonyms.collect("vivt", &mut metrics);
         }
         if let Some(f) = faults.as_ref() {
             f.collect("faults", &mut metrics);
@@ -722,8 +685,7 @@ struct Schedule {
 #[inline(never)]
 fn interleave<C: CpuModel, S: Sink, P: Progress>(
     config: &RunConfig,
-    timing: L1Timing,
-    serializes_translation: bool,
+    design: L1Design,
     cores: &mut [Core],
     uncore: &mut Uncore,
     cpus: &mut [C],
@@ -735,8 +697,8 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
 ) -> Result<(), SimError> {
     let miss_squash = OooCpu::sandybridge().miss_squash_cycles();
     let is_ooo = config.cpu == CpuKind::OutOfOrder;
-    let is_seesaw = matches!(cores[0].l1, L1Flavor::Seesaw(_));
-    let is_vivt = cores[0].l1.is_vivt();
+    let is_seesaw = design.has_tft;
+    let is_vivt = design.virtually_tagged;
     let line_bytes = 64u64;
     let n = cores.len();
 
@@ -758,7 +720,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
         .map(|i| Schedule {
             executed: 0,
             next_sample: if measure { sample_every } else { u64::MAX },
-            window: SampleWindow::capture(&mut cores[i], &cpus[i]),
+            window: SampleWindow::capture(&cores[i], &cpus[i]),
             last_tft_rate: 0.0,
             next_switch: switch_every,
             next_page_op: page_op_every,
@@ -838,9 +800,9 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                         }
                     }
                 }
-                if let Some(seesaw) = core.l1.seesaw() {
+                if is_seesaw {
                     for page in &lookup.superpage_l1_fills {
-                        seesaw.tft_fill(page.base());
+                        core.l1.tft_fill(page.base());
                         if S::ENABLED {
                             sink.emit(at, EventKind::TftFill);
                         }
@@ -860,7 +822,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                     page_size,
                     is_write: tref.is_write,
                 };
-                let out = core.l1.as_dyn().access(&req);
+                let out = core.l1.access(&req);
                 if S::ENABLED {
                     if let Some(hit) = out.tft_hit {
                         sink.emit(at, EventKind::TftLookup { hit });
@@ -924,11 +886,9 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                     // a direct-mapped conflict pair would stay cold between
                     // TLB misses.
                     if out.tft_hit == Some(false) && page_size.is_superpage() {
-                        if let Some(seesaw) = core.l1.seesaw() {
-                            seesaw.tft_fill(va);
-                            if S::ENABLED {
-                                sink.emit(at, EventKind::TftFill);
-                            }
+                        core.l1.tft_fill(va);
+                        if S::ENABLED {
+                            sink.emit(at, EventKind::TftFill);
                         }
                     }
                 }
@@ -937,7 +897,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 }
 
                 // Assemble load-to-use latency.
-                let mut latency = if serializes_translation {
+                let mut latency = if design.serializes {
                     // PIPT: the TLB access (2 cycles for an L1 TLB hit, plus
                     // any miss cost) fully precedes the array access.
                     2 + lookup.cost_cycles + out.latency_cycles
@@ -1019,7 +979,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                         HitTimeAssumption::Slow => {
                             // Dependents were scheduled for the slow time; a
                             // fast hit completes early without helping.
-                            latency = latency.max(timing.slow_cycles);
+                            latency = latency.max(design.timing.slow_cycles);
                         }
                     }
                 }
@@ -1045,7 +1005,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 if let Some(traffic) = core.traffic.as_mut() {
                     traffic.record_line(pa.raw() / line_bytes);
                     for probe in traffic.step(tref.gap + 1) {
-                        let (_, ways) = core.l1.as_dyn().coherence_probe(
+                        let (_, ways) = core.l1.coherence_probe(
                             PhysAddr::new(probe.ptag * line_bytes),
                             probe.invalidate,
                         );
@@ -1080,7 +1040,6 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 for p in tx.probes {
                     let (_, ways) = cores[p.target]
                         .l1
-                        .as_dyn()
                         .coherence_probe(PhysAddr::new(ptag * line_bytes), p.invalidate);
                     if S::ENABLED {
                         // The probe is the target core's event; the timeline
@@ -1111,30 +1070,23 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
             // Telemetry window boundary.
             if sched[i].executed >= sched[i].next_sample {
                 sched[i].next_sample += sample_every;
-                let now = SampleWindow::capture(&mut cores[i], &cpus[i]);
+                let now = SampleWindow::capture(&cores[i], &cpus[i]);
                 let sample = sched[i].window.delta(&now, sched[i].last_tft_rate);
                 sched[i].last_tft_rate = sample.tft_hit_rate;
                 counters[i].samples.push(sample);
                 sched[i].window = now;
             }
 
-            // Context switches flush the (ASID-less) TFT.
+            // Context switches flush the (ASID-less) TFT and µtag: every
+            // prediction goes cold, data stays resident.
             if sched[i].executed >= sched[i].next_switch {
                 sched[i].next_switch += switch_every;
                 if S::ENABLED {
                     sink.emit(at, EventKind::ContextSwitch);
                 }
-                if let Some(seesaw) = cores[i].l1.seesaw() {
-                    seesaw.context_switch();
-                    if S::ENABLED {
-                        sink.emit(at, EventKind::TftFlush);
-                    }
-                }
-                // The µtag is virtually tagged without ASIDs, so a context
-                // switch flushes the predictor (Zen2 erratum-style behavior)
-                // — every prediction goes cold, data stays resident.
-                if let L1Flavor::MicroTag(m) = &mut cores[i].l1 {
-                    m.context_switch();
+                cores[i].l1.context_switch();
+                if S::ENABLED && is_seesaw {
+                    sink.emit(at, EventKind::TftFlush);
                 }
             }
 
@@ -1152,7 +1104,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
             // Randomized fault injection (the general mechanism).
             let now_at = cores[i].elapsed + sched[i].executed;
             if let Some(kind) = cores[i].injector.as_mut().and_then(|inj| inj.poll(now_at)) {
-                apply_fault(config, cores, uncore, i, kind, now_at, sink)?;
+                apply_fault(config, design, cores, uncore, i, kind, now_at, sink)?;
             }
         }
         if !alive {
@@ -1267,24 +1219,9 @@ fn apply_page_op<S: Sink>(
             PageTableOp::Promoted { .. } => chaos.drop_promotion_sweep,
             _ => false,
         };
-        for core in cores.iter_mut() {
-            match &mut core.l1 {
-                L1Flavor::Seesaw(l1) if !dropped => {
-                    l1.handle_op(&op);
-                }
-                // VIVT must always observe remappings: its virtual tags
-                // keep hitting after a translation change, and its
-                // back-pointers would keep naming the migrated-away frames.
-                L1Flavor::Vivt(l1) if !dropped => {
-                    l1.handle_op(&op);
-                }
-                // VESPA sweeps promoted regions exactly as SEESAW does
-                // (partition residency is a correctness invariant for its
-                // always-fast superpage lookups).
-                L1Flavor::Vespa(l1) if !dropped => {
-                    l1.handle_op(&op);
-                }
-                _ => {}
+        if !dropped {
+            for core in cores.iter_mut() {
+                core.l1.handle_op(&op);
             }
         }
         for core in cores.iter_mut() {
@@ -1321,22 +1258,17 @@ fn observe_op(
     op: &PageTableOp,
     instruction: u64,
 ) -> Result<(), SimError> {
-    if core.checker.is_none() {
+    let Some(checker) = core.checker.as_mut() else {
         return Ok(());
-    }
+    };
     match op {
         PageTableOp::Splintered(page) => {
             let region_va = page.base().raw();
-            if let Some(checker) = core.checker.as_mut() {
-                checker.observe_splinter(instruction, region_va);
-            }
+            checker.observe_splinter(instruction, region_va);
             // §IV-C2 precision: the TFT must no longer vouch for the
             // splintered region.
-            if let L1Flavor::Seesaw(l1) = &core.l1 {
-                let still_vouches = l1.tft_probe(page.base());
-                if let Some(checker) = core.checker.as_mut() {
-                    checker.audit_splinter_tft(instruction, region_va, still_vouches)?;
-                }
+            if let Some(still_vouches) = core.l1.tft_probe(page.base()) {
+                checker.audit_splinter_tft(instruction, region_va, still_vouches)?;
             }
         }
         PageTableOp::Promoted { page, old_frames } => {
@@ -1358,104 +1290,35 @@ fn observe_op(
                     )
                 })
                 .collect();
-            if let Some(checker) = core.checker.as_mut() {
-                checker.observe_promotion(instruction, region_va, new_frame, &frames);
-            }
-            match &core.l1 {
-                L1Flavor::Seesaw(l1) => {
-                    // No line of the migrated-away frames may survive
-                    // the promotion sweep.
-                    let mut ranges: Vec<(u64, u64)> = old_frames
-                        .iter()
-                        .map(|f| {
-                            let first = f.base().raw() / 64;
-                            (first, first + f.size().bytes() / 64)
-                        })
-                        .collect();
-                    ranges.sort_unstable();
-                    let resident = l1
-                        .resident_lines()
-                        .filter(|line| {
-                            ranges
-                                .binary_search_by(|&(lo, hi)| {
-                                    if line.ptag < lo {
-                                        std::cmp::Ordering::Greater
-                                    } else if line.ptag >= hi {
-                                        std::cmp::Ordering::Less
-                                    } else {
-                                        std::cmp::Ordering::Equal
-                                    }
-                                })
-                                .is_ok()
-                        })
-                        .count();
-                    let unreachable = l1.audit_partition_reachability();
-                    if let Some(checker) = core.checker.as_mut() {
-                        checker.audit_promotion_sweep(instruction, region_va, resident)?;
-                        // §IV-C1: every resident line must sit in the
-                        // partition its physical address names.
-                        if let Some(unreachable) = unreachable {
-                            checker.audit_partitions(instruction, unreachable)?;
-                        }
+            checker.observe_promotion(instruction, region_va, new_frame, &frames);
+            match core.l1.promotion_audit(old_frames) {
+                // No line of the migrated-away frames may survive the
+                // promotion sweep, and (§IV-C1) every resident line must
+                // sit in the partition its physical address names.
+                Some(PromotionAudit::Swept {
+                    resident,
+                    unreachable,
+                }) => {
+                    checker.audit_promotion_sweep(instruction, region_va, resident)?;
+                    if let Some(unreachable) = unreachable {
+                        checker.audit_partitions(instruction, unreachable)?;
                     }
                 }
-                L1Flavor::Vespa(l1) => {
-                    // Same residency + reachability contract as SEESAW:
-                    // the sweep must clear every line of the migrated-away
-                    // frames, and each survivor must sit in the partition
-                    // its physical address names.
-                    let mut ranges: Vec<(u64, u64)> = old_frames
-                        .iter()
-                        .map(|f| {
-                            let first = f.base().raw() / 64;
-                            (first, first + f.size().bytes() / 64)
-                        })
-                        .collect();
-                    ranges.sort_unstable();
-                    let resident = l1
-                        .resident_lines()
-                        .filter(|line| {
-                            ranges
-                                .binary_search_by(|&(lo, hi)| {
-                                    if line.ptag < lo {
-                                        std::cmp::Ordering::Greater
-                                    } else if line.ptag >= hi {
-                                        std::cmp::Ordering::Less
-                                    } else {
-                                        std::cmp::Ordering::Equal
-                                    }
-                                })
-                                .is_ok()
-                        })
-                        .count();
-                    let unreachable = l1.audit_partition_reachability();
-                    if let Some(checker) = core.checker.as_mut() {
-                        checker.audit_promotion_sweep(instruction, region_va, resident)?;
-                        if let Some(unreachable) = unreachable {
-                            checker.audit_partitions(instruction, unreachable)?;
-                        }
-                    }
+                // VIVT back-pointers must not reference the frames the
+                // promotion freed.
+                Some(PromotionAudit::Mappings(plines)) => {
+                    checker.audit_physical_mappings(instruction, plines)?;
                 }
-                L1Flavor::Vivt(l1) => {
-                    // VIVT back-pointers must not reference the frames
-                    // the promotion freed.
-                    let plines: Vec<u64> = l1.mapped_plines().collect();
-                    if let Some(checker) = core.checker.as_mut() {
-                        checker.audit_physical_mappings(instruction, plines)?;
-                    }
-                }
-                L1Flavor::Baseline(_) | L1Flavor::MicroTag(_) => {}
+                None => {}
             }
         }
         PageTableOp::Unmapped(page) => {
-            if let Some(checker) = core.checker.as_mut() {
-                checker.record_event(
-                    instruction,
-                    CheckEvent::Shootdown {
-                        page_va: page.base().raw(),
-                    },
-                );
-            }
+            checker.record_event(
+                instruction,
+                CheckEvent::Shootdown {
+                    page_va: page.base().raw(),
+                },
+            );
         }
         PageTableOp::Mapped(_) => {}
     }
@@ -1466,8 +1329,10 @@ fn observe_op(
 /// visible faults (page-table reshapes, shootdowns, memory pressure)
 /// broadcast to every core; core-local ones (TFT storms, context
 /// switches) stay on the initiator.
+#[allow(clippy::too_many_arguments)]
 fn apply_fault<S: Sink>(
     config: &RunConfig,
+    design: L1Design,
     cores: &mut [Core],
     uncore: &mut Uncore,
     initiator: usize,
@@ -1561,12 +1426,10 @@ fn apply_fault<S: Sink>(
                     .space
                     .translate(va)
                     .is_some_and(|t| t.page_size.is_superpage());
-                if backed_super {
-                    if let Some(seesaw) = cores[initiator].l1.seesaw() {
-                        seesaw.tft_fill(va);
-                        if S::ENABLED {
-                            sink.emit(instruction, EventKind::TftFill);
-                        }
+                if backed_super && design.has_tft {
+                    cores[initiator].l1.tft_fill(va);
+                    if S::ENABLED {
+                        sink.emit(instruction, EventKind::TftFill);
                     }
                 }
             }
@@ -1575,14 +1438,9 @@ fn apply_fault<S: Sink>(
             if S::ENABLED {
                 sink.emit(instruction, EventKind::ContextSwitch);
             }
-            if let Some(seesaw) = cores[initiator].l1.seesaw() {
-                seesaw.context_switch();
-                if S::ENABLED {
-                    sink.emit(instruction, EventKind::TftFlush);
-                }
-            }
-            if let L1Flavor::MicroTag(m) = &mut cores[initiator].l1 {
-                m.context_switch();
+            cores[initiator].l1.context_switch();
+            if S::ENABLED && design.has_tft {
+                sink.emit(instruction, EventKind::TftFlush);
             }
             if let Some(checker) = cores[initiator].checker.as_mut() {
                 checker.record_event(instruction, CheckEvent::ContextSwitch);
@@ -1637,6 +1495,12 @@ fn pick(core: &mut Core, n: usize) -> usize {
 /// Adds the measured-window count `now − before` into an optional
 /// cross-core total, creating it on first use (a component only some
 /// designs or configurations attach: way predictors, L2 TLBs).
+/// A measured-window delta of a counter a design may lack (zero then).
+fn window<C: Counter>(now: Option<C>, before: Option<C>) -> C {
+    now.map(|now| now.delta(&before.unwrap_or_default()))
+        .unwrap_or_default()
+}
+
 fn merge_window<C: Counter>(total: &mut Option<C>, now: &C, before: Option<C>) {
     total
         .get_or_insert_with(C::default)

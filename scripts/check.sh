@@ -17,6 +17,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> benchmark package: build and test (its own workspace, so --workspace skips it)"
 cargo test --release --offline --locked --manifest-path simbench/Cargo.toml
 
+echo "==> benchmark run: every workload's cells checked against their committed fingerprints"
+cargo run --release --quiet --offline --locked --manifest-path simbench/Cargo.toml -- \
+  --workload all --seconds 1
+
 echo "==> microbenches in --test mode (every bench body runs once, pass/fail)"
 cargo bench -p seesaw-bench --benches -- --test
 
