@@ -10,14 +10,33 @@ use seesaw_sim::experiments::{
 fn main() {
     let n = instruction_budget(FULL);
     println!("Insertion policy (§IV-B1): L1 hit rate, 4way vs 4way-8way\n");
-    println!("{}", ablation_table(&ok_or_exit(insertion_ablation(n)), "4way", "4way-8way"));
+    println!(
+        "{}",
+        ablation_table(&ok_or_exit(insertion_ablation(n)), "4way", "4way-8way")
+    );
     println!("\nTFT context-switch flushes (§IV-C3): runtime vs an ideal never-flushed TFT\n");
-    println!("{}", ablation_table(&ok_or_exit(asid_flush_ablation(n)), "flushing", "ideal"));
+    println!(
+        "{}",
+        ablation_table(&ok_or_exit(asid_flush_ablation(n)), "flushing", "ideal")
+    );
     println!("\nCoherence protocol (§VI-B): energy savings, directory vs snoopy\n");
-    println!("{}", ablation_table(&ok_or_exit(snoopy_ablation(n)), "directory", "snoopy"));
+    println!(
+        "{}",
+        ablation_table(&ok_or_exit(snoopy_ablation(n)), "directory", "snoopy")
+    );
     println!("\nArea control (§VI-A): runtime improvement, area-equivalent baseline vs SEESAW\n");
-    println!("{}", ablation_table(&ok_or_exit(area_control(n)), "area-eq baseline", "SEESAW"));
+    println!(
+        "{}",
+        ablation_table(&ok_or_exit(area_control(n)), "area-eq baseline", "SEESAW")
+    );
     println!("\nPrefetcher robustness: SEESAW runtime gain without / with an L2 streamer\n");
-    println!("{}", ablation_table(&ok_or_exit(prefetch_ablation(n)), "no prefetch", "prefetch x4"));
+    println!(
+        "{}",
+        ablation_table(
+            &ok_or_exit(prefetch_ablation(n)),
+            "no prefetch",
+            "prefetch x4"
+        )
+    );
     finish("ablations");
 }

@@ -111,7 +111,10 @@ fn main() {
     if let Some((old_csv, new_csv)) = metrics {
         let deltas =
             seesaw_sim::diff::diff_metrics_csv(&read(&old_csv), &read(&new_csv), threshold_pct);
-        println!("\nmetric movement past {threshold_pct:.0}% ({}):", deltas.len());
+        println!(
+            "\nmetric movement past {threshold_pct:.0}% ({}):",
+            deltas.len()
+        );
         let fmt_v = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}"));
         for d in deltas.iter().take(25) {
             println!(

@@ -80,7 +80,10 @@ fn cmd_inject(budget: u64) {
         plan.push(label, cfg);
     }
     plan.push("panic-cell", RunConfig::quick("tunk").instructions(budget));
-    plan.push("hang-cell", RunConfig::quick("tunk").instructions(budget + 1));
+    plan.push(
+        "hang-cell",
+        RunConfig::quick("tunk").instructions(budget + 1),
+    );
     let cells = plan.len();
 
     let policy = SweepPolicy::default().max_failures(2).supervisor(

@@ -62,7 +62,9 @@ fn main() {
         .first()
         .and_then(|s| s.replace('_', "").parse().ok())
         .unwrap_or(FULL);
-    println!("Competing-design lab — every L1 design on redis, 64KB @ 1.33GHz ({n} instructions)\n");
+    println!(
+        "Competing-design lab — every L1 design on redis, 64KB @ 1.33GHz ({n} instructions)\n"
+    );
     println!("{}", designs_table(&ok_or_exit(designs("redis", n))));
     println!("Columns are measured against the shared baseline row; hit latency is the");
     println!("mean load-to-use over L1 hits, so predictor mispredicts and VESPA's");

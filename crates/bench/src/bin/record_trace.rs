@@ -10,13 +10,8 @@ use seesaw_workloads::{catalog, TraceFile, TraceGenerator};
 fn main() {
     let mut args = std::env::args().skip(1);
     let workload = args.next().unwrap_or_else(|| "redis".into());
-    let count: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500_000);
-    let path = args
-        .next()
-        .unwrap_or_else(|| format!("{workload}.sstr"));
+    let count: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(500_000);
+    let path = args.next().unwrap_or_else(|| format!("{workload}.sstr"));
 
     let Some(spec) = catalog().into_iter().find(|w| w.name == workload) else {
         eprintln!("unknown workload {workload}; known:");

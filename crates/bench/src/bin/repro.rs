@@ -31,7 +31,11 @@ fn seeded_failure(cores: usize) -> RunConfig {
         .cores(cores)
         .instructions(400_000)
         .with_checker()
-        .with_faults(FaultConfig::all(0xfa17_5eed).mean_interval(2_000).chaos(chaos))
+        .with_faults(
+            FaultConfig::all(0xfa17_5eed)
+                .mean_interval(2_000)
+                .chaos(chaos),
+        )
 }
 
 fn fail(e: impl std::fmt::Display) -> ! {
@@ -52,7 +56,8 @@ fn write_out(out: Option<&str>, json: &str) {
 }
 
 fn load(path: &str) -> ReproBundle {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("reading {path}: {e}")));
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("reading {path}: {e}")));
     ReproBundle::from_json(&text).unwrap_or_else(|e| fail(e))
 }
 
@@ -109,7 +114,10 @@ fn cmd_replay(path: &str) {
             Err(e) => fail(format!("replay {round}/2: {e}")),
         }
     }
-    println!("replay ok: {} at instruction {}", bundle.violation.kind, bundle.violation.instruction);
+    println!(
+        "replay ok: {} at instruction {}",
+        bundle.violation.kind, bundle.violation.instruction
+    );
 }
 
 /// Parses `[--cores N] [--out FILE]` style trailing options.

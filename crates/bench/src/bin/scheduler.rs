@@ -6,7 +6,9 @@ use seesaw_sim::experiments::{scheduler_ablation, scheduler_table};
 
 fn main() {
     let n = instruction_budget(FULL);
-    println!("Scheduler hit-time assumption ablation (§IV-B3), redis 64KB OoO ({n} instructions)\n");
+    println!(
+        "Scheduler hit-time assumption ablation (§IV-B3), redis 64KB OoO ({n} instructions)\n"
+    );
     println!("{}", scheduler_table(&ok_or_exit(scheduler_ablation(n))));
     println!("With the paper's quarter-cycle TFT answer (squash = 0), Fast always");
     println!("wins and the counter is moot. When re-scheduling costs cycles, the");

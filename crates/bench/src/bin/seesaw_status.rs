@@ -152,10 +152,7 @@ fn render(doc: &Json) -> String {
         .iter()
     {
         let state = str_of(cell.get("state"));
-        let cached = cell
-            .get("cached")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
+        let cached = cell.get("cached").and_then(Json::as_bool).unwrap_or(false);
         t.row(vec![
             u64_of(cell.get("index")).to_string(),
             str_of(cell.get("label")),

@@ -170,7 +170,12 @@ fn main() {
         report.failed.len()
     );
     for f in &report.failed {
-        eprintln!("  failed: {} ({}): {}", f.label, &f.fingerprint[..8], f.error);
+        eprintln!(
+            "  failed: {} ({}): {}",
+            f.label,
+            &f.fingerprint[..8],
+            f.error
+        );
         if let Some(detail) = fabric.error_detail(&submission.digests()[f.index]) {
             eprintln!("    fabric: {detail}");
         }

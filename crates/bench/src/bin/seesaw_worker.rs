@@ -134,12 +134,22 @@ fn write_worker_prom(id: &str, stats: &seesaw_trace::FabricWorkerStats) {
     }
     let sanitized: String = id
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     let path = dir.join(format!("worker-{sanitized}.prom"));
     if let Err(e) = std::fs::write(&path, &text) {
         eprintln!("error: writing {}: {e}", path.display());
         std::process::exit(1);
     }
-    println!("[trace] wrote {} ({} metrics)", path.display(), registry.len());
+    println!(
+        "[trace] wrote {} ({} metrics)",
+        path.display(),
+        registry.len()
+    );
 }

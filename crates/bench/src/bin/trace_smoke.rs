@@ -41,7 +41,11 @@ fn emit(cores: usize) {
         for (what, traced, counted) in [
             ("l1_misses", c.l1_misses, core.l1.misses),
             ("walk_ends", c.walk_ends, core.walks),
-            ("coherence_probes", c.coherence_probes, core.coherence_probes),
+            (
+                "coherence_probes",
+                c.coherence_probes,
+                core.coherence_probes,
+            ),
         ] {
             if traced != counted {
                 eprintln!(

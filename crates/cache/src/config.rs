@@ -44,7 +44,10 @@ impl CacheConfig {
     /// Panics if the geometry is inconsistent (non-power-of-two line size
     /// or set count, or size not divisible by `ways × line_bytes`).
     pub fn new(size_bytes: u64, ways: usize, line_bytes: u64, indexing: IndexPolicy) -> Self {
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(ways > 0, "associativity must be positive");
         assert!(
             size_bytes.is_multiple_of(ways as u64 * line_bytes),
@@ -87,9 +90,9 @@ impl CacheConfig {
     pub fn set_index(&self, va: VirtAddr, pa: Option<PhysAddr>) -> usize {
         let addr = match self.indexing {
             IndexPolicy::Vipt | IndexPolicy::Vivt => va.raw(),
-            IndexPolicy::Pipt => {
-                pa.expect("PIPT indexing requires the physical address").raw()
-            }
+            IndexPolicy::Pipt => pa
+                .expect("PIPT indexing requires the physical address")
+                .raw(),
         };
         ((addr >> self.offset_bits()) as usize) % self.sets()
     }

@@ -144,7 +144,10 @@ impl OuterHierarchy {
         let llc_set = (ptag as usize) % self.llc_sets;
         let llc_ways = self.llc_mask;
         let (level, cycles) = if self.llc.read(llc_set, ptag, llc_ways).hit {
-            (MemoryLevel::Llc, self.config.l2_cycles + self.config.llc_cycles)
+            (
+                MemoryLevel::Llc,
+                self.config.l2_cycles + self.config.llc_cycles,
+            )
         } else {
             self.dram_accesses += 1;
             self.llc.fill(llc_set, ptag, llc_ways, false);

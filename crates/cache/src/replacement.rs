@@ -103,7 +103,10 @@ mod tests {
         lru.touch(0, 1);
         lru.touch(0, 2);
         let v = lru.victim(0, 0b1111);
-        assert!(v == 0 || v == 3, "an untouched way should be victim, got {v}");
+        assert!(
+            v == 0 || v == 3,
+            "an untouched way should be victim, got {v}"
+        );
     }
 
     #[test]

@@ -201,7 +201,8 @@ impl SetAssocCache {
     ) -> Option<EvictedLine> {
         assert!(!victim_mask.is_empty(), "fill requires a victim mask");
         debug_assert!(
-            self.peek(set, ptag, WayMask::all(self.config.ways)).is_none(),
+            self.peek(set, ptag, WayMask::all(self.config.ways))
+                .is_none(),
             "line {ptag:#x} already resident in set {set}"
         );
         let base = set * self.ways;
@@ -435,7 +436,10 @@ mod tests {
                 "line {i} should be in partition 1"
             );
         }
-        assert!(c.peek(7, 0x1000, WayMask::all(8)).is_none(), "LRU line evicted");
+        assert!(
+            c.peek(7, 0x1000, WayMask::all(8)).is_none(),
+            "LRU line evicted"
+        );
         // Partition 0 untouched.
         for w in 0..4 {
             assert!(!WayMask::partition(1, 2, 8).contains(w));

@@ -15,7 +15,9 @@
 
 use seesaw_trace::json::{escape, Json};
 
-use crate::inject::{ChaosConfig, FaultConfig, FaultKind, FaultPoint, FaultSchedule, InjectionStats};
+use crate::inject::{
+    ChaosConfig, FaultConfig, FaultKind, FaultPoint, FaultSchedule, InjectionStats,
+};
 
 /// Current bundle format version.
 pub const BUNDLE_VERSION: u32 = 1;
@@ -165,7 +167,11 @@ impl ReproBundle {
         s.push_str("  \"config\": [\n");
         for (i, (k, v)) in self.config.iter().enumerate() {
             s.push_str(&format!("    [\"{}\", \"{}\"]", escape(k), escape(v)));
-            s.push_str(if i + 1 < self.config.len() { ",\n" } else { "\n" });
+            s.push_str(if i + 1 < self.config.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         s.push_str("  ],\n");
         let f = &self.stats.faults;
@@ -226,8 +232,12 @@ impl ReproBundle {
                     .as_array()
                     .filter(|a| a.len() == 2)
                     .ok_or_else(|| bad("config entry must be a [key, value] pair"))?;
-                let k = kv[0].as_str().ok_or_else(|| bad("config key must be a string"))?;
-                let v = kv[1].as_str().ok_or_else(|| bad("config value must be a string"))?;
+                let k = kv[0]
+                    .as_str()
+                    .ok_or_else(|| bad("config key must be a string"))?;
+                let v = kv[1]
+                    .as_str()
+                    .ok_or_else(|| bad("config value must be a string"))?;
                 Ok((k.to_string(), v.to_string()))
             })
             .collect::<Result<Vec<_>, BundleError>>()?;
@@ -314,7 +324,10 @@ fn fault_from_json(doc: &Json) -> Result<FaultConfig, BundleError> {
         context_switches: bool_field(doc, "context_switches")?,
         mem_pressure: bool_field(doc, "mem_pressure")?,
         chaos: ChaosConfig {
-            drop_tft_invalidation_on_splinter: bool_field(chaos, "drop_tft_invalidation_on_splinter")?,
+            drop_tft_invalidation_on_splinter: bool_field(
+                chaos,
+                "drop_tft_invalidation_on_splinter",
+            )?,
             drop_promotion_sweep: bool_field(chaos, "drop_promotion_sweep")?,
             // Absent in bundles recorded before the knob existed.
             skip_way_verification: bool_field(chaos, "skip_way_verification").unwrap_or(false),
@@ -491,7 +504,9 @@ mod tests {
     fn rejects_malformed_documents() {
         assert!(ReproBundle::from_json("not json").is_err());
         assert!(ReproBundle::from_json("{}").is_err());
-        let wrong_version = sample().to_json().replace("\"version\": 1", "\"version\": 99");
+        let wrong_version = sample()
+            .to_json()
+            .replace("\"version\": 1", "\"version\": 99");
         let err = ReproBundle::from_json(&wrong_version).unwrap_err();
         assert!(err.message.contains("version"), "{err}");
         let bad_kind = sample()

@@ -77,7 +77,10 @@ impl ViolationKind {
 
     /// The inverse of [`ViolationKind::name`], for store/bundle parsing.
     pub fn from_name(name: &str) -> Option<ViolationKind> {
-        ViolationKind::ALL.iter().copied().find(|k| k.name() == name)
+        ViolationKind::ALL
+            .iter()
+            .copied()
+            .find(|k| k.name() == name)
     }
 }
 
@@ -364,7 +367,8 @@ impl ShadowChecker {
         // The new 2 MB frame may reuse physical memory a previous
         // promotion freed: it is live again.
         for frame in 0..(2 << 20) / FRAME_BYTES {
-            self.freed_frames.remove(&(new_frame_pa / FRAME_BYTES + frame));
+            self.freed_frames
+                .remove(&(new_frame_pa / FRAME_BYTES + frame));
         }
         for &(frame_pa, bytes, region_offset) in old_frames {
             let lines = bytes / LINE_BYTES;
@@ -404,9 +408,7 @@ impl ShadowChecker {
             return Err(self.violation(
                 ViolationKind::TftClaimsBasePage,
                 instruction,
-                format!(
-                    "TFT still vouches for region {region_va:#x} after its splinter"
-                ),
+                format!("TFT still vouches for region {region_va:#x} after its splinter"),
             ));
         }
         Ok(())
@@ -537,12 +539,7 @@ impl ShadowChecker {
         }
     }
 
-    fn violation(
-        &mut self,
-        kind: ViolationKind,
-        instruction: u64,
-        detail: String,
-    ) -> Violation {
+    fn violation(&mut self, kind: ViolationKind, instruction: u64, detail: String) -> Violation {
         self.counters.bump(kind);
         Violation {
             kind,
@@ -608,9 +605,12 @@ mod tests {
         c.check_access(1, &access(0x20_0040, 0x8040, true)).unwrap();
         c.observe_promotion(2, 0x20_0000, 0x40_0000, &[(0x8000, 4096, 0)]);
         // The same VA now translates into the new frame.
-        c.check_access(3, &access(0x20_0040, 0x40_0040, false)).unwrap();
+        c.check_access(3, &access(0x20_0040, 0x40_0040, false))
+            .unwrap();
         // The old frame is freed: touching it is use-after-free.
-        let v = c.check_access(4, &access(0x30_0040, 0x8040, false)).unwrap_err();
+        let v = c
+            .check_access(4, &access(0x30_0040, 0x8040, false))
+            .unwrap_err();
         assert_eq!(v.kind, ViolationKind::UseAfterFree);
     }
 
@@ -649,7 +649,10 @@ mod tests {
         let v = c.audit_way_prediction(6, 0x1000, 3, false).unwrap_err();
         assert_eq!(v.kind, ViolationKind::WayPredictionAlias);
         assert_eq!(c.summary().violations.way_prediction_alias, 1);
-        assert_eq!(ViolationKind::from_name("way-prediction-alias"), Some(v.kind));
+        assert_eq!(
+            ViolationKind::from_name("way-prediction-alias"),
+            Some(v.kind)
+        );
     }
 
     #[test]

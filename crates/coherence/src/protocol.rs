@@ -91,7 +91,10 @@ mod tests {
 
     #[test]
     fn read_miss_fills_exclusive_or_shared() {
-        assert_eq!(on_local_read(Invalid, false), (Exclusive, Action::FetchData));
+        assert_eq!(
+            on_local_read(Invalid, false),
+            (Exclusive, Action::FetchData)
+        );
         assert_eq!(on_local_read(Invalid, true), (Shared, Action::FetchData));
     }
 
@@ -144,8 +147,7 @@ mod tests {
         // check every event keeps them legal.
         let legal = |a: MoesiState, b: MoesiState| -> bool {
             let exclusive = |s| matches!(s, Modified | Exclusive);
-            let no_stale_sharers =
-                !(exclusive(a) && b != Invalid || exclusive(b) && a != Invalid);
+            let no_stale_sharers = !(exclusive(a) && b != Invalid || exclusive(b) && a != Invalid);
             // At most one owner.
             no_stale_sharers && !(a == Owned && b == Owned)
         };
@@ -157,7 +159,10 @@ mod tests {
                 // Remote write at `b`'s initiative: `a` sees remote write,
                 // `b` becomes Modified.
                 let (a2, _) = on_remote_write(a);
-                assert!(legal(a2, Modified), "remote write broke SWMR from ({a},{b})");
+                assert!(
+                    legal(a2, Modified),
+                    "remote write broke SWMR from ({a},{b})"
+                );
                 // Remote read by `b`: `a` transitions, `b` fills Shared.
                 let (a3, _) = on_remote_read(a);
                 if a != Invalid {

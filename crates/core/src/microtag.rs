@@ -163,8 +163,18 @@ mod tests {
 
     fn l1(verify: bool) -> MicroTagL1 {
         let cfg = MicroTagConfig::new(CacheConfig::new(32 << 10, 8, 64, IndexPolicy::Vipt));
-        let cfg = if verify { cfg } else { cfg.without_verification() };
-        MicroTagL1::new(cfg, L1Timing { fast_cycles: 2, slow_cycles: 2 })
+        let cfg = if verify {
+            cfg
+        } else {
+            cfg.without_verification()
+        };
+        MicroTagL1::new(
+            cfg,
+            L1Timing {
+                fast_cycles: 2,
+                slow_cycles: 2,
+            },
+        )
     }
 
     fn req(va: u64, pa: u64) -> L1Request {
@@ -207,13 +217,16 @@ mod tests {
         let (a, b) = alias_pair();
         let mut l1 = l1(true);
         l1.access(&req(a, 0x9040)); // trains way w with the shared µtag
-        // Different VA, same µtag, different physical line: the predictor
-        // steers to a's way, verification fails, full round follows.
+                                    // Different VA, same µtag, different physical line: the predictor
+                                    // steers to a's way, verification fails, full round follows.
         let out = l1.access(&req(b, 0x19_0040));
         assert_eq!(out.way_prediction_correct, Some(false));
         assert_eq!(out.latency_cycles, 4, "alias pays double latency");
         assert_eq!(out.unverified_alias_way, None, "verification caught it");
-        assert_eq!(l1.design_stats().way_prediction.unwrap().alias_mispredicts, 1);
+        assert_eq!(
+            l1.design_stats().way_prediction.unwrap().alias_mispredicts,
+            1
+        );
     }
 
     #[test]
@@ -235,7 +248,10 @@ mod tests {
         l1.context_switch();
         let out = l1.access(&r);
         assert!(out.hit);
-        assert_eq!(out.way_prediction_correct, None, "no prediction after flush");
+        assert_eq!(
+            out.way_prediction_correct, None,
+            "no prediction after flush"
+        );
         assert_eq!(out.ways_probed, 8);
     }
 
@@ -270,6 +286,9 @@ mod tests {
         assert_eq!(out.way_prediction_correct, None);
         assert_eq!(out.ways_probed, 8);
         assert_eq!(l1.design_stats().way_prediction.unwrap().cold, 3);
-        assert_eq!(l1.design_stats().way_prediction.unwrap().alias_mispredicts, 0);
+        assert_eq!(
+            l1.design_stats().way_prediction.unwrap().alias_mispredicts,
+            0
+        );
     }
 }

@@ -28,7 +28,10 @@ impl PartitionDecoder {
     /// two, and the partition bits stay within a 2 MB page offset (the
     /// design requirement that makes superpage indexing sound).
     pub fn new(sets: usize, total_ways: usize, line_bytes: u64, partitions: usize) -> Self {
-        assert!(partitions.is_power_of_two(), "partition count must be a power of two");
+        assert!(
+            partitions.is_power_of_two(),
+            "partition count must be a power of two"
+        );
         assert!(
             total_ways.is_multiple_of(partitions),
             "partitions must divide ways evenly"

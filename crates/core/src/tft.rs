@@ -75,7 +75,11 @@ impl TranslationFilterTable {
         assert!(entries > 0, "TFT needs at least one entry");
         Self {
             slots: vec![None; entries],
-            slot_mask: if entries.is_power_of_two() { entries - 1 } else { 0 },
+            slot_mask: if entries.is_power_of_two() {
+                entries - 1
+            } else {
+                0
+            },
             stats: TftStats::default(),
         }
     }
@@ -176,7 +180,10 @@ mod tests {
         tft.fill(va);
         assert!(tft.lookup(VirtAddr::new(0x4000_0000)));
         assert!(tft.lookup(VirtAddr::new(0x401f_ffff)));
-        assert!(!tft.lookup(VirtAddr::new(0x4020_0000)), "next region misses");
+        assert!(
+            !tft.lookup(VirtAddr::new(0x4020_0000)),
+            "next region misses"
+        );
         assert_eq!(tft.stats().hits, 2);
         assert_eq!(tft.stats().misses, 1);
     }

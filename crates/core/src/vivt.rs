@@ -206,7 +206,9 @@ impl L1DataCache for VivtL1 {
         match self.reverse.get(&pline).copied() {
             Some(vline) => {
                 let set = self.set_of_line(vline);
-                let present = self.cache.coherence_probe(set, vline, self.full, invalidate);
+                let present = self
+                    .cache
+                    .coherence_probe(set, vline, self.full, invalidate);
                 if invalidate && present.is_some() {
                     self.forward.remove(&vline);
                     self.reverse.remove(&pline);
@@ -379,7 +381,7 @@ mod tests {
     #[test]
     fn eviction_reports_physical_line_for_writeback() {
         let mut l1 = VivtL1::new(32 << 10, 1, timing()); // direct-mapped
-        // Two virtual lines in the same set with distinct physical homes.
+                                                         // Two virtual lines in the same set with distinct physical homes.
         l1.access(&req(0x1040, 0x8040, true));
         let out = l1.access(&req(0x1040 + (32 << 10), 0x9040, false));
         let evicted = out.evicted.expect("direct-mapped conflict evicts");

@@ -108,9 +108,9 @@ impl EnergyAccount {
 
     /// A coherence L1 lookup probing `ways_probed` ways.
     pub fn coherence_lookup(&mut self, ways_probed: usize) {
-        self.acc.l1_coherence_nj += self
-            .model
-            .l1_lookup_nj(self.l1_size_kb, self.l1_ways, ways_probed);
+        self.acc.l1_coherence_nj +=
+            self.model
+                .l1_lookup_nj(self.l1_size_kb, self.l1_ways, ways_probed);
     }
 
     /// An L1 line fill.

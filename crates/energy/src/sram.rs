@@ -112,7 +112,10 @@ impl SramModel {
     /// `size_kb`-KB cache, in nJ. The fixed-plus-per-way decomposition
     /// reproduces the paper's 39.43 % saving for 4-of-8 ways.
     pub fn lookup_energy_nj(&self, size_kb: u64, total_ways: usize, ways_probed: usize) -> f64 {
-        assert!(ways_probed <= total_ways, "cannot probe more ways than exist");
+        assert!(
+            ways_probed <= total_ways,
+            "cannot probe more ways than exist"
+        );
         if ways_probed == 0 {
             return 0.0;
         }
@@ -314,7 +317,10 @@ mod tests {
         assert!(new.latency_ns(32, 8) < old.latency_ns(32, 8));
         let trend_old = old.latency_ns(32, 16) / old.latency_ns(32, 8);
         let trend_new = new.latency_ns(32, 16) / new.latency_ns(32, 8);
-        assert!((trend_old - trend_new).abs() < 1e-9, "relative trend preserved");
+        assert!(
+            (trend_old - trend_new).abs() < 1e-9,
+            "relative trend preserved"
+        );
     }
 
     #[test]

@@ -181,7 +181,10 @@ impl Collect for BuddyStats {
             &format!("{prefix}.largest_free_order"),
             largest_free_order.map_or(0, u64::from),
         );
-        out.set_f64(&format!("{prefix}.contiguity_order9"), self.contiguity_at(9));
+        out.set_f64(
+            &format!("{prefix}.contiguity_order9"),
+            self.contiguity_at(9),
+        );
     }
 }
 
@@ -453,10 +456,7 @@ mod tests {
     fn exhaustion_reports_out_of_memory() {
         let mut buddy = BuddyAllocator::new(2);
         buddy.alloc(1).unwrap();
-        assert!(matches!(
-            buddy.alloc(0),
-            Err(MemError::OutOfMemory { .. })
-        ));
+        assert!(matches!(buddy.alloc(0), Err(MemError::OutOfMemory { .. })));
     }
 
     #[test]

@@ -217,7 +217,9 @@ impl Compactor {
             }
         }
         for d in decoys {
-            pmem.buddy_mut().free(d, order).expect("decoy was allocated");
+            pmem.buddy_mut()
+                .free(d, order)
+                .expect("decoy was allocated");
         }
         let dest = dest?;
         // Commit: free the source, brand the destination movable.
@@ -283,7 +285,7 @@ mod tests {
     #[test]
     fn unmovable_pages_pin_their_region() {
         let mut pmem = PhysicalMemory::new(4 << 20); // 2 regions
-        // Pin one page in each region.
+                                                     // Pin one page in each region.
         let mut pinned = Vec::new();
         for _ in 0..2 {
             pinned.push(

@@ -68,7 +68,10 @@ mod tests {
     #[test]
     fn display_messages_are_lowercase_and_informative() {
         let e = MemError::OutOfMemory { requested: 4096 };
-        assert_eq!(e.to_string(), "out of physical memory (requested 4096 bytes)");
+        assert_eq!(
+            e.to_string(),
+            "out of physical memory (requested 4096 bytes)"
+        );
         let e = MemError::Fragmented {
             size: PageSize::Super2M,
         };

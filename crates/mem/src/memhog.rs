@@ -241,7 +241,10 @@ mod tests {
                 Err(crate::MemError::Fragmented { .. }) => {
                     let outcome = Compactor::new().compact(pmem);
                     hog.absorb_relocations(&outcome.relocations);
-                    if pmem.alloc_page(PageSize::Super2M, FrameState::Movable).is_ok() {
+                    if pmem
+                        .alloc_page(PageSize::Super2M, FrameState::Movable)
+                        .is_ok()
+                    {
                         got += PageSize::Super2M.base_pages();
                     } else {
                         break;

@@ -187,7 +187,11 @@ impl PageTable {
                 expected: PageSize::Super2M,
             });
         }
-        assert_eq!(vpage.size(), new_frame.size(), "promotion frame size mismatch");
+        assert_eq!(
+            vpage.size(),
+            new_frame.size(),
+            "promotion frame size mismatch"
+        );
         let count = vpage.size().base_pages();
         let first_vpn = vpage.base().page_number(PageSize::Base4K);
         let base_map = &self.maps[size_index(PageSize::Base4K)];
@@ -195,9 +199,7 @@ impl PageTable {
         for i in 0..count {
             if !base_map.contains_key(&(first_vpn + i)) {
                 return Err(MemError::NotMapped {
-                    addr: vpage
-                        .base()
-                        .offset(i * PageSize::Base4K.bytes()),
+                    addr: vpage.base().offset(i * PageSize::Base4K.bytes()),
                 });
             }
         }
@@ -225,10 +227,7 @@ impl PageTable {
         PageSize::ALL.into_iter().flat_map(move |size| {
             self.maps[size_index(size)].iter().map(move |(&vpn, &pa)| {
                 (
-                    VirtPage::containing(
-                        VirtAddr::new(vpn << size.offset_bits()),
-                        size,
-                    ),
+                    VirtPage::containing(VirtAddr::new(vpn << size.offset_bits()), size),
                     PageFrame::new(pa, size),
                 )
             })
@@ -243,11 +242,9 @@ impl PageTable {
             let map = &self.maps[size_index(size)];
             // A mapped page of `size` overlaps [start, end) iff its base is
             // in [start - (size-1), end).
-            let lo = (start >> size.offset_bits()).saturating_sub(0).max(
-                start
-                    .saturating_sub(size.bytes() - 1)
-                    >> size.offset_bits(),
-            );
+            let lo = (start >> size.offset_bits())
+                .saturating_sub(0)
+                .max(start.saturating_sub(size.bytes() - 1) >> size.offset_bits());
             let hi = end.div_ceil(size.bytes());
             if map.range(lo..hi).next().is_some() {
                 return true;
@@ -271,8 +268,11 @@ mod tests {
     #[test]
     fn base_page_translation() {
         let mut pt = PageTable::new();
-        pt.map(vpage(0x1000, PageSize::Base4K), frame(0x8000, PageSize::Base4K))
-            .unwrap();
+        pt.map(
+            vpage(0x1000, PageSize::Base4K),
+            frame(0x8000, PageSize::Base4K),
+        )
+        .unwrap();
         let t = pt.translate(VirtAddr::new(0x1abc)).unwrap();
         assert_eq!(t.pa.raw(), 0x8abc);
         assert_eq!(t.page_size, PageSize::Base4K);
@@ -307,13 +307,19 @@ mod tests {
         .unwrap();
         // A base page inside the superpage region must be rejected.
         let err = pt
-            .map(vpage(0x20_1000, PageSize::Base4K), frame(0x0, PageSize::Base4K))
+            .map(
+                vpage(0x20_1000, PageSize::Base4K),
+                frame(0x0, PageSize::Base4K),
+            )
             .unwrap_err();
         assert!(matches!(err, MemError::AlreadyMapped { .. }));
         // And a superpage overlapping an existing base page too.
         let mut pt = PageTable::new();
-        pt.map(vpage(0x20_1000, PageSize::Base4K), frame(0x0, PageSize::Base4K))
-            .unwrap();
+        pt.map(
+            vpage(0x20_1000, PageSize::Base4K),
+            frame(0x0, PageSize::Base4K),
+        )
+        .unwrap();
         let err = pt
             .map(
                 vpage(0x20_0000, PageSize::Super2M),
@@ -410,8 +416,11 @@ mod tests {
     #[test]
     fn iter_covers_all_sizes() {
         let mut pt = PageTable::new();
-        pt.map(vpage(0x1000, PageSize::Base4K), frame(0x8000, PageSize::Base4K))
-            .unwrap();
+        pt.map(
+            vpage(0x1000, PageSize::Base4K),
+            frame(0x8000, PageSize::Base4K),
+        )
+        .unwrap();
         pt.map(
             vpage(0x4000_0000, PageSize::Super2M),
             frame(0x20_0000, PageSize::Super2M),

@@ -63,11 +63,7 @@ impl PhysicalMemory {
     /// # Errors
     /// Propagates [`MemError::Fragmented`] / [`MemError::OutOfMemory`] from
     /// the buddy allocator.
-    pub fn alloc_page(
-        &mut self,
-        size: PageSize,
-        state: FrameState,
-    ) -> Result<PageFrame, MemError> {
+    pub fn alloc_page(&mut self, size: PageSize, state: FrameState) -> Result<PageFrame, MemError> {
         let start = self.buddy.alloc(size.buddy_order())?;
         self.mobility[start as usize] = Some(state);
         Ok(PageFrame::new(
@@ -104,7 +100,8 @@ impl PhysicalMemory {
         }
         let start = frame.base().raw() / PageSize::Base4K.bytes();
         let state = self.mobility[start as usize].unwrap_or(FrameState::Movable);
-        self.buddy.split_allocated(start, frame.size().buddy_order())?;
+        self.buddy
+            .split_allocated(start, frame.size().buddy_order())?;
         self.mobility[start as usize] = None;
         let count = frame.size().base_pages();
         let mut pieces = Vec::with_capacity(count as usize);

@@ -7,8 +7,8 @@ use std::collections::HashMap;
 use crate::compaction::Relocation;
 use crate::thp::{allocate_backing, SliceBacking};
 use crate::{
-    FrameState, MemError, PageFrame, PageSize, PageTable, PageTableOp, PhysAddr,
-    PhysicalMemory, ThpPolicy, ThpStats, Translation, VirtAddr, VirtPage,
+    FrameState, MemError, PageFrame, PageSize, PageTable, PageTableOp, PhysAddr, PhysicalMemory,
+    ThpPolicy, ThpStats, Translation, VirtAddr, VirtPage,
 };
 
 /// What a virtual memory area holds.
@@ -115,10 +115,7 @@ impl AddressSpace {
         bytes: u64,
         policy: ThpPolicy,
     ) -> Result<Vma, MemError> {
-        let bytes = bytes
-            .div_ceil(PageSize::Base4K.bytes())
-            .max(1)
-            * PageSize::Base4K.bytes();
+        let bytes = bytes.div_ceil(PageSize::Base4K.bytes()).max(1) * PageSize::Base4K.bytes();
         // Reserve a 2 MB-aligned virtual range so superpage mappings are
         // possible, with a guard gap after it.
         let base = VirtAddr::new(self.next_va);
@@ -326,10 +323,7 @@ impl AddressSpace {
                     PageSize::Base4K,
                     "compaction only migrates sub-2MB blocks"
                 );
-                let (frame, _) = self
-                    .page_table
-                    .unmap(vpage)
-                    .expect("owned mapping exists");
+                let (frame, _) = self.page_table.unmap(vpage).expect("owned mapping exists");
                 debug_assert_eq!(frame.base().raw() / 4096, rel.old_start);
                 let new_frame = PageFrame::new(
                     PhysAddr::new(rel.new_start * PageSize::Base4K.bytes()),
@@ -512,7 +506,9 @@ mod tests {
         // 1 GB pages preserve the low 30 bits.
         assert_eq!(
             t.pa.page_offset(PageSize::Super1G),
-            vma.base().offset(0x1234_5678).page_offset(PageSize::Super1G)
+            vma.base()
+                .offset(0x1234_5678)
+                .page_offset(PageSize::Super1G)
         );
         assert_eq!(space.superpage_coverage(), 1.0);
     }

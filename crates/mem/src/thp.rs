@@ -74,8 +74,7 @@ pub(crate) fn allocate_backing(
     let mut compactions = Vec::new();
     let mut remaining = bytes;
     while remaining > 0 {
-        let want_super =
-            policy == ThpPolicy::Always && remaining >= PageSize::Super2M.bytes();
+        let want_super = policy == ThpPolicy::Always && remaining >= PageSize::Super2M.bytes();
         if want_super {
             match pmem.alloc_page(PageSize::Super2M, FrameState::Movable) {
                 Ok(frame) => {
@@ -89,9 +88,7 @@ pub(crate) fn allocate_backing(
                     // `defrag=always` path.
                     stats.compaction_runs += 1;
                     compactions.push(Compactor::new().compact(pmem));
-                    if let Ok(frame) =
-                        pmem.alloc_page(PageSize::Super2M, FrameState::Movable)
-                    {
+                    if let Ok(frame) = pmem.alloc_page(PageSize::Super2M, FrameState::Movable) {
                         stats.super_after_compaction += 1;
                         slices.push(SliceBacking::Super(frame));
                         remaining -= PageSize::Super2M.bytes();
@@ -162,13 +159,8 @@ mod tests {
     fn sub_2mb_tail_falls_back_to_base_pages() {
         let mut pmem = PhysicalMemory::new(16 << 20);
         let mut stats = ThpStats::default();
-        let (slices, _) = allocate_backing(
-            &mut pmem,
-            (2 << 20) + 8192,
-            ThpPolicy::Always,
-            &mut stats,
-        )
-        .unwrap();
+        let (slices, _) =
+            allocate_backing(&mut pmem, (2 << 20) + 8192, ThpPolicy::Always, &mut stats).unwrap();
         assert_eq!(slices.len(), 2);
         assert!(matches!(slices[0], SliceBacking::Super(_)));
         match &slices[1] {
@@ -181,8 +173,7 @@ mod tests {
     fn genuine_oom_propagates() {
         let mut pmem = PhysicalMemory::new(4 << 20);
         let mut stats = ThpStats::default();
-        let err =
-            allocate_backing(&mut pmem, 8 << 20, ThpPolicy::Always, &mut stats).unwrap_err();
+        let err = allocate_backing(&mut pmem, 8 << 20, ThpPolicy::Always, &mut stats).unwrap_err();
         assert!(matches!(err, MemError::OutOfMemory { .. }));
     }
 

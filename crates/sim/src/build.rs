@@ -18,9 +18,7 @@ use seesaw_core::{
     SeesawL1, VespaConfig, VespaL1, VivtL1,
 };
 use seesaw_energy::{EnergyAccount, EnergyModel, SramModel};
-use seesaw_mem::{
-    AddressSpace, Memhog, MemhogConfig, PhysicalMemory, ThpPolicy, Vma,
-};
+use seesaw_mem::{AddressSpace, Memhog, MemhogConfig, PhysicalMemory, ThpPolicy, Vma};
 use seesaw_tlb::{TlbHierarchy, TlbHierarchyConfig};
 use seesaw_workloads::TraceGenerator;
 use std::collections::HashMap;
@@ -357,11 +355,7 @@ impl System {
                     };
                     // An explicit schedule for this core (shrinker replay)
                     // supersedes the seeded stream; missing entries keep it.
-                    match config
-                        .fault_schedules
-                        .as_ref()
-                        .and_then(|s| s.get(id))
-                    {
+                    match config.fault_schedules.as_ref().and_then(|s| s.get(id)) {
                         Some(schedule) => FaultInjector::replay(per_core, schedule.clone()),
                         None => FaultInjector::new(per_core),
                     }

@@ -70,7 +70,11 @@ impl fmt::Display for BarChart {
             let cells = ((value.abs() / max) * self.width as f64).round() as usize;
             let bar: String = std::iter::repeat_n('█', cells).collect();
             let sign = if *value < 0.0 { "-" } else { " " };
-            writeln!(f, "  {label:>label_w$} {sign}{bar:<w$} {value:>8.2}", w = self.width)?;
+            writeln!(
+                f,
+                "  {label:>label_w$} {sign}{bar:<w$} {value:>8.2}",
+                w = self.width
+            )?;
         }
         Ok(())
     }

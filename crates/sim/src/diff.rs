@@ -45,7 +45,11 @@ impl FigureStats {
                 let r = r.as_f64()?;
                 // Pre-attribution snapshots wrote 0.000 for "no fresh
                 // cells"; treat that the same as the explicit null.
-                if r == 0.0 { None } else { Some(r) }
+                if r == 0.0 {
+                    None
+                } else {
+                    Some(r)
+                }
             }
         };
         Some(FigureStats {
@@ -304,9 +308,7 @@ impl BenchDiff {
         fn rate(v: Option<FigureStats>) -> String {
             match v {
                 None => "-".to_string(),
-                Some(s) => s
-                    .rate
-                    .map_or("cached".to_string(), |r| format!("{r:.2}")),
+                Some(s) => s.rate.map_or("cached".to_string(), |r| format!("{r:.2}")),
             }
         }
         let mut t = Table::new(vec![
@@ -490,7 +492,7 @@ mod tests {
         ]))
         .unwrap();
         let new = BenchRun::parse(&snapshot(&[
-            ("big", 6.0, Some(8.3), 96),   // +20%
+            ("big", 6.0, Some(8.3), 96),    // +20%
             ("small", 5.25, Some(9.5), 96), // +5%
         ]))
         .unwrap();

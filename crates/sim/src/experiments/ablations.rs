@@ -40,10 +40,7 @@ fn ablation<const N: usize>(
 ) -> Result<Vec<AblationRow>, SimError> {
     let workloads = cloud_subset();
     let mut plan = Plan::new();
-    let cells: Vec<[usize; N]> = workloads
-        .iter()
-        .map(|w| make(&mut plan, w.name))
-        .collect();
+    let cells: Vec<[usize; N]> = workloads.iter().map(|w| make(&mut plan, w.name)).collect();
     let results = plan.run()?;
     Ok(workloads
         .iter()
@@ -285,6 +282,8 @@ mod tests {
             value_a: 1.0,
             value_b: 2.0,
         }];
-        assert!(ablation_table(&rows, "a", "b").to_string().contains("redis"));
+        assert!(ablation_table(&rows, "a", "b")
+            .to_string()
+            .contains("redis"));
     }
 }

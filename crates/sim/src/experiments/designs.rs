@@ -68,12 +68,7 @@ pub fn designs(workload: &'static str, instructions: u64) -> Result<Vec<DesignRo
     let mut plan = Plan::new();
     let cells: Vec<usize> = DESIGN_LAB
         .iter()
-        .map(|(name, kind)| {
-            plan.push(
-                format!("{workload}/{name}"),
-                base_cfg.clone().design(*kind),
-            )
-        })
+        .map(|(name, kind)| plan.push(format!("{workload}/{name}"), base_cfg.clone().design(*kind)))
         .collect();
     let results = plan.run()?;
     let base = &results[cells[0]];
@@ -87,7 +82,10 @@ pub fn designs(workload: &'static str, instructions: u64) -> Result<Vec<DesignRo
                 mpki: r.l1_mpki,
                 perf: r.runtime_improvement_pct(base),
                 energy: r.energy_savings_pct(base),
-                hit_latency: r.metrics.get_f64("l1.avg_hit_latency_cycles").unwrap_or(0.0),
+                hit_latency: r
+                    .metrics
+                    .get_f64("l1.avg_hit_latency_cycles")
+                    .unwrap_or(0.0),
                 ways_per_access: {
                     let accesses = r.l1.hits + r.l1.misses;
                     if accesses == 0 {
@@ -147,7 +145,11 @@ pub fn design_fingerprint(r: &RunResult) -> u64 {
     mix(r.l1.ways_probed);
     mix(r.walks);
     mix(r.energy.total_nj().to_bits());
-    mix(r.metrics.get_f64("l1.avg_hit_latency_cycles").unwrap_or(0.0).to_bits());
+    mix(r
+        .metrics
+        .get_f64("l1.avg_hit_latency_cycles")
+        .unwrap_or(0.0)
+        .to_bits());
     h
 }
 
@@ -179,7 +181,12 @@ mod tests {
         assert_eq!(base.energy, 0.0);
         for r in &rows {
             assert!(r.mpki >= 0.0, "{}: mpki {}", r.design, r.mpki);
-            assert!(r.hit_latency > 0.0, "{}: hit latency {}", r.design, r.hit_latency);
+            assert!(
+                r.hit_latency > 0.0,
+                "{}: hit latency {}",
+                r.design,
+                r.hit_latency
+            );
             assert!(
                 r.ways_per_access > 0.0,
                 "{}: ways/access {}",

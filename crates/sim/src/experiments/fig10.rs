@@ -110,8 +110,13 @@ pub fn fig11(instructions: u64) -> Result<Vec<Fig11Row>, SimError> {
     let pairs: Vec<(usize, usize)> = workloads
         .iter()
         .map(|w| {
-            let base_cfg =
-                runtime_cfg(w.name, 64, Frequency::F1_33, CpuKind::OutOfOrder, instructions);
+            let base_cfg = runtime_cfg(
+                w.name,
+                64,
+                Frequency::F1_33,
+                CpuKind::OutOfOrder,
+                instructions,
+            );
             let base = plan.push(format!("{}/base", w.name), base_cfg.clone());
             let seesaw = plan.push(
                 format!("{}/seesaw", w.name),
@@ -195,7 +200,10 @@ mod tests {
             cann > astar,
             "canneal ({cann:.3}) must attribute more to coherence than astar ({astar:.3})"
         );
-        assert!(cann > 0.1, "MT coherence share should be substantial: {cann:.3}");
+        assert!(
+            cann > 0.1,
+            "MT coherence share should be substantial: {cann:.3}"
+        );
     }
 
     #[test]

@@ -86,9 +86,7 @@ mod tests {
         // Paper: benefits "decrease but still remain in the 4-6% range in
         // the presence of heavy fragmentation (i.e., memhog of 60%)".
         let run = |memhog: u32| {
-            let cfg = RunConfig::quick("redis")
-                .l1_size(64)
-                .memhog(memhog);
+            let cfg = RunConfig::quick("redis").l1_size(64).memhog(memhog);
             let base = System::build(&cfg).unwrap().run().unwrap();
             let seesaw = System::build(&cfg.clone().design(L1DesignKind::Seesaw))
                 .unwrap()

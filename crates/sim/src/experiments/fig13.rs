@@ -57,9 +57,8 @@ pub fn fig13(instructions: u64) -> Result<Vec<Fig13Row>, SimError> {
             let mut miss_fracs = Vec::new();
             for idx in indices {
                 let s = results[idx].seesaw;
-                let supers = s.super_tft_hit_cache_hit
-                    + s.super_tft_hit_cache_miss
-                    + s.super_tft_miss;
+                let supers =
+                    s.super_tft_hit_cache_hit + s.super_tft_hit_cache_miss + s.super_tft_miss;
                 if supers == 0 {
                     continue;
                 }
@@ -83,7 +82,13 @@ pub fn fig13(instructions: u64) -> Result<Vec<Fig13Row>, SimError> {
 /// Renders the rows.
 pub fn fig13_table(rows: &[Fig13Row]) -> Table {
     let mut table = Table::new(vec![
-        "TFT", "size", "L1-hit avg", "L1-hit max", "L1-miss avg", "L1-miss max", "total avg",
+        "TFT",
+        "size",
+        "L1-hit avg",
+        "L1-hit max",
+        "L1-miss avg",
+        "L1-miss max",
+        "total avg",
     ]);
     for r in rows {
         table.row(vec![

@@ -113,7 +113,8 @@ mod tests {
         // fig15 runs all eight; pick the requested one from a dedicated
         // quick run instead to keep the test fast.
         rows.retain(|r| r.workload == workload);
-        rows.pop().unwrap_or_else(|| panic!("{workload} in cloud subset"))
+        rows.pop()
+            .unwrap_or_else(|| panic!("{workload} in cloud subset"))
     }
 
     #[test]
@@ -122,8 +123,16 @@ mod tests {
         // prediction suffers because workloads use pointer-chasing memory
         // access patterns (e.g., graph500 and olio)".
         let r = one("g500");
-        assert!(r.wp_perf <= 0.5, "WP should not speed up g500: {:.2}%", r.wp_perf);
-        assert!(r.seesaw_perf > 0.0, "SEESAW never degrades: {:.2}%", r.seesaw_perf);
+        assert!(
+            r.wp_perf <= 0.5,
+            "WP should not speed up g500: {:.2}%",
+            r.wp_perf
+        );
+        assert!(
+            r.seesaw_perf > 0.0,
+            "SEESAW never degrades: {:.2}%",
+            r.seesaw_perf
+        );
         assert!(
             r.seesaw_energy > r.wp_energy,
             "SEESAW energy ({:.2}%) should beat WP's ({:.2}%) when prediction is poor",
@@ -137,8 +146,16 @@ mod tests {
         // nutch's prediction accuracy is high ("over 85%" in the paper),
         // so WP alone is an energy win there.
         let r = one("nutch");
-        assert!(r.wp_accuracy > 0.5, "nutch WP accuracy {:.2}", r.wp_accuracy);
-        assert!(r.wp_energy > 0.0, "WP must save energy on nutch: {:.2}%", r.wp_energy);
+        assert!(
+            r.wp_accuracy > 0.5,
+            "nutch WP accuracy {:.2}",
+            r.wp_accuracy
+        );
+        assert!(
+            r.wp_energy > 0.0,
+            "WP must save energy on nutch: {:.2}%",
+            r.wp_energy
+        );
     }
 
     #[test]

@@ -213,7 +213,10 @@ mod tests {
                     .filter(|r| r.size_kb == size)
                     .map(|r| r.value)
                     .collect();
-                assert!(vals.windows(2).all(|w| w[1] > w[0]), "{size}KB not monotone");
+                assert!(
+                    vals.windows(2).all(|w| w[1] > w[0]),
+                    "{size}KB not monotone"
+                );
             }
         }
     }

@@ -85,7 +85,10 @@ pub fn fig7(instructions: u64) -> Result<Vec<Fig7Row>, SimError> {
                 CpuKind::OutOfOrder,
                 instructions,
             );
-            let base = plan.push(format!("{}/{}KB/base", spec.name, size_kb), base_cfg.clone());
+            let base = plan.push(
+                format!("{}/{}KB/base", spec.name, size_kb),
+                base_cfg.clone(),
+            );
             let seesaw = plan.push(
                 format!("{}/{}KB/seesaw", spec.name, size_kb),
                 base_cfg.design(L1DesignKind::Seesaw),
@@ -203,7 +206,8 @@ mod tests {
     #[test]
     fn larger_caches_improve_more() {
         let small = improvement("mongo", 32, Frequency::F1_33, CpuKind::OutOfOrder, QUICK).unwrap();
-        let large = improvement("mongo", 128, Frequency::F1_33, CpuKind::OutOfOrder, QUICK).unwrap();
+        let large =
+            improvement("mongo", 128, Frequency::F1_33, CpuKind::OutOfOrder, QUICK).unwrap();
         assert!(
             large > small,
             "128KB ({large:.2}%) should beat 32KB ({small:.2}%)"

@@ -21,9 +21,9 @@ use seesaw_core::InsertionPolicy;
 use seesaw_workloads::{catalog, cloud_subset, fig12_subset};
 
 use super::designs::DESIGN_LAB;
-use super::fig7::{runtime_cfg, SIZES_KB};
 use super::fig12::FIG12_MEMHOG;
 use super::fig13::FIG13_TFT_ENTRIES;
+use super::fig7::{runtime_cfg, SIZES_KB};
 use super::multicore::{CORE_COUNTS, MULTICORE_WORKLOADS};
 use super::scheduler::{MEMHOG_LEVELS, SQUASH_COSTS};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SchedulerHintPolicy};
@@ -97,7 +97,11 @@ fn fig7_cells(instructions: u64) -> Vec<PlanCell> {
                 CpuKind::OutOfOrder,
                 instructions,
             );
-            base_seesaw(&mut cells, &format!("{}/{}KB", spec.name, size_kb), base_cfg);
+            base_seesaw(
+                &mut cells,
+                &format!("{}/{}KB", spec.name, size_kb),
+                base_cfg,
+            );
         }
     }
     cells
@@ -136,7 +140,13 @@ fn fig10_cells(instructions: u64) -> Vec<PlanCell> {
 fn fig11_cells(instructions: u64) -> Vec<PlanCell> {
     let mut cells = Vec::new();
     for w in catalog() {
-        let base_cfg = runtime_cfg(w.name, 64, Frequency::F1_33, CpuKind::OutOfOrder, instructions);
+        let base_cfg = runtime_cfg(
+            w.name,
+            64,
+            Frequency::F1_33,
+            CpuKind::OutOfOrder,
+            instructions,
+        );
         base_seesaw(&mut cells, w.name, base_cfg);
     }
     cells
@@ -221,7 +231,9 @@ fn fig15_cells(instructions: u64) -> Vec<PlanCell> {
         cells.push((format!("{}/base", w.name), base_cfg.clone()));
         cells.push((
             format!("{}/wp", w.name),
-            base_cfg.clone().design(L1DesignKind::BaselineWithWayPrediction),
+            base_cfg
+                .clone()
+                .design(L1DesignKind::BaselineWithWayPrediction),
         ));
         cells.push((
             format!("{}/seesaw", w.name),
@@ -245,12 +257,7 @@ fn designs_cells(instructions: u64) -> Vec<PlanCell> {
         .instructions(instructions);
     DESIGN_LAB
         .iter()
-        .map(|(name, kind)| {
-            (
-                format!("{workload}/{name}"),
-                base_cfg.clone().design(*kind),
-            )
-        })
+        .map(|(name, kind)| (format!("{workload}/{name}"), base_cfg.clone().design(*kind)))
         .collect()
 }
 
@@ -297,7 +304,10 @@ fn scheduler_cells(instructions: u64) -> Vec<PlanCell> {
                 let mut cfg = base_cfg.clone().design(L1DesignKind::Seesaw);
                 cfg.scheduler_hint = policy;
                 cfg.hit_time_squash_cycles = squash_cycles;
-                cells.push((format!("redis/mh{memhog}/{policy:?}/sq{squash_cycles}"), cfg));
+                cells.push((
+                    format!("redis/mh{memhog}/{policy:?}/sq{squash_cycles}"),
+                    cfg,
+                ));
             }
         }
     }

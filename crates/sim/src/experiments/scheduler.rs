@@ -12,9 +12,7 @@
 
 use crate::report::pct;
 use crate::runner::Plan;
-use crate::{
-    CpuKind, Frequency, L1DesignKind, RunConfig, SchedulerHintPolicy, SimError, Table,
-};
+use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SchedulerHintPolicy, SimError, Table};
 
 /// One cell of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,12 +69,14 @@ pub fn scheduler_ablation(instructions: u64) -> Result<Vec<SchedulerRow>, SimErr
     let results = plan.run()?;
     Ok(cells
         .into_iter()
-        .map(|(policy, squash_cycles, memhog, baseline, idx)| SchedulerRow {
-            policy,
-            squash_cycles,
-            memhog,
-            improvement_pct: results[idx].runtime_improvement_pct(&results[baseline]),
-        })
+        .map(
+            |(policy, squash_cycles, memhog, baseline, idx)| SchedulerRow {
+                policy,
+                squash_cycles,
+                memhog,
+                improvement_pct: results[idx].runtime_improvement_pct(&results[baseline]),
+            },
+        )
         .collect())
 }
 
@@ -99,11 +99,7 @@ mod tests {
     use super::*;
     use crate::System;
 
-    fn improvement(
-        policy: SchedulerHintPolicy,
-        squash: u64,
-        memhog: u32,
-    ) -> f64 {
+    fn improvement(policy: SchedulerHintPolicy, squash: u64, memhog: u32) -> f64 {
         let base_cfg = RunConfig::quick("redis").l1_size(64).memhog(memhog);
         let baseline = System::build(&base_cfg).unwrap().run().unwrap();
         let mut cfg = base_cfg.design(L1DesignKind::Seesaw);

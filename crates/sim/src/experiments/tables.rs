@@ -86,7 +86,9 @@ pub fn table1() -> Vec<Table1Row> {
 
 /// Renders Table I.
 pub fn table1_table(rows: &[Table1Row]) -> Table {
-    let mut table = Table::new(vec!["PageSize", "TFT", "Cache", "Cycles", "Ways", "Savings"]);
+    let mut table = Table::new(vec![
+        "PageSize", "TFT", "Cache", "Cycles", "Ways", "Savings",
+    ]);
     for r in rows {
         table.row(vec![
             r.page_size.into(),
@@ -105,11 +107,20 @@ pub fn table1_table(rows: &[Table1Row]) -> Table {
 pub fn table2() -> Table {
     let mut t = Table::new(vec!["parameter", "value"]);
     let rows: [(&str, &str); 10] = [
-        ("Out-of-order CPU", "~Sandybridge: 168-entry ROB, 54-entry scheduler, 4-wide"),
+        (
+            "Out-of-order CPU",
+            "~Sandybridge: 168-entry ROB, 54-entry scheduler, 4-wide",
+        ),
         ("In-order CPU", "~Atom: dual-issue, 16-stage pipeline"),
         ("L1 cache", "private split L1I (32KB) + L1D (Table III)"),
-        ("TLB (Atom)", "L1: 64-entry 4KB + 32-entry 2MB; 512-entry L2"),
-        ("TLB (Sandybridge)", "split L1: 128-entry 4KB + 16-entry 2MB"),
+        (
+            "TLB (Atom)",
+            "L1: 64-entry 4KB + 32-entry 2MB; 512-entry L2",
+        ),
+        (
+            "TLB (Sandybridge)",
+            "split L1: 128-entry 4KB + 16-entry 2MB",
+        ),
         ("LLC", "unified, 24MB"),
         ("DRAM", "51ns round-trip"),
         ("Technology", "22nm (scaled from TSMC 28nm)"),
@@ -165,7 +176,12 @@ pub fn table3() -> Vec<Table3Row> {
 /// Renders Table III.
 pub fn table3_table(rows: &[Table3Row]) -> Table {
     let mut table = Table::new(vec![
-        "size", "assoc", "freq", "TFT", "L1 base-page", "L1 superpage",
+        "size",
+        "assoc",
+        "freq",
+        "TFT",
+        "L1 base-page",
+        "L1 superpage",
     ]);
     for r in rows {
         table.row(vec![

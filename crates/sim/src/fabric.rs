@@ -78,9 +78,7 @@ use seesaw_trace::{CellState, FabricWorkerStats};
 use crate::repro::{config_from_kv, config_kv};
 use crate::runner::{fingerprint, Plan};
 use crate::status::StatusBoard;
-use crate::store::{
-    commit_record, digest, fnv1a64, read_record_at, record_bytes, Dec, Enc, Store,
-};
+use crate::store::{commit_record, digest, fnv1a64, read_record_at, record_bytes, Dec, Enc, Store};
 use crate::{RunConfig, SimError, SweepPolicy, SweepReport};
 
 /// Claim generations a job may burn through before it is marked
@@ -341,7 +339,13 @@ impl Fabric {
         }
         let slug: String = sweep
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '-' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                    c
+                } else {
+                    '-'
+                }
+            })
             .collect();
         commit_record(&self.dir, &format!("s-{slug}.rec"), "manifest", &e.out)?;
         Ok(Submission {
@@ -431,7 +435,13 @@ impl Fabric {
     /// treated as live until its mtime is a full `lease` old — the
     /// exclusivity of the *file's existence* is what matters, and the
     /// grace period lets an interrupted writer either finish or age out.
-    fn claim_live(&self, digest: &str, generation: u64, record: Option<&ClaimRecord>, lease: Duration) -> bool {
+    fn claim_live(
+        &self,
+        digest: &str,
+        generation: u64,
+        record: Option<&ClaimRecord>,
+        lease: Duration,
+    ) -> bool {
         match record {
             Some(c) => c.live_at(now_ms()),
             None => fs::metadata(self.claim_path(digest, generation))
@@ -662,7 +672,9 @@ impl WorkerOptions {
                 .ok()
                 .filter(|s| !s.is_empty())
                 .unwrap_or_else(|| format!("w{}", std::process::id())),
-            lease: Duration::from_millis(env_u64("SEESAW_FABRIC_LEASE_MS").unwrap_or(30_000).max(50)),
+            lease: Duration::from_millis(
+                env_u64("SEESAW_FABRIC_LEASE_MS").unwrap_or(30_000).max(50),
+            ),
             poll: Duration::from_millis(env_u64("SEESAW_FABRIC_POLL_MS").unwrap_or(200).max(10)),
             max_jobs: None,
             linger: false,
@@ -765,7 +777,9 @@ pub fn run_claimed(
                         if stop.load(Ordering::Relaxed) {
                             return;
                         }
-                        let step = interval.saturating_sub(waited).min(Duration::from_millis(25));
+                        let step = interval
+                            .saturating_sub(waited)
+                            .min(Duration::from_millis(25));
                         std::thread::sleep(step);
                         waited += step;
                     }
@@ -928,8 +942,8 @@ impl Submission {
             for (i, d) in self.digests.iter().enumerate() {
                 if fabric.resolved(d) {
                     outcome.resolved += 1;
-                    let failed =
-                        fabric.errored(d) || fabric.store().dir().join(format!("f-{d}.rec")).exists();
+                    let failed = fabric.errored(d)
+                        || fabric.store().dir().join(format!("f-{d}.rec")).exists();
                     if failed {
                         outcome.errored += 1;
                     }
@@ -937,7 +951,11 @@ impl Submission {
                         if let Some(b) = board {
                             b.finish(
                                 &[i],
-                                if failed { CellState::Failed } else { CellState::Done },
+                                if failed {
+                                    CellState::Failed
+                                } else {
+                                    CellState::Done
+                                },
                             );
                         }
                         tracked[i] = Tracked::Terminal;
@@ -998,10 +1016,8 @@ mod tests {
     use super::*;
 
     fn tmp_fabric(tag: &str) -> Fabric {
-        let dir = std::env::temp_dir().join(format!(
-            "seesaw-fabric-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("seesaw-fabric-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = Arc::new(Store::open(&dir).expect("open test store"));
         Fabric::open(store).expect("open test fabric")

@@ -64,24 +64,24 @@ pub mod store;
 mod system;
 mod uncore;
 
+pub use chart::BarChart;
 pub use config::{
     CpuKind, Frequency, L1DesignKind, ProbeSource, RunConfig, SchedulerHintPolicy,
     SupervisorConfig, SweepPolicy,
 };
-pub use chart::BarChart;
 pub use diff::{BenchDiff, BenchRun, FigureDelta, FigureStats, MetricDelta};
 pub use error::SimError;
 pub use report::Table;
-pub use status::{OpsSummary, StatusBoard, StatusWriter};
 pub use runner::{
     CellChaos, CellContext, CellRecord, FailedCell, MemoStats, Plan, PlanOutcomes, PlanRun,
     SupervisorStats, SweepReport,
 };
-pub use store::{Store, StoreStats, StoredOutcome};
 pub use seesaw_check::{
-    ChaosConfig, CheckerSummary, FaultConfig, FaultKind, FaultPoint, FaultSchedule,
-    InjectionStats, ReproBundle, Violation,
+    ChaosConfig, CheckerSummary, FaultConfig, FaultKind, FaultPoint, FaultSchedule, InjectionStats,
+    ReproBundle, Violation,
 };
 pub use seesaw_coherence::{CoherenceMode, CoherenceStats};
 pub use stats::{CoreResult, RunResult, Sample, Summary};
+pub use status::{OpsSummary, StatusBoard, StatusWriter};
+pub use store::{Store, StoreStats, StoredOutcome};
 pub use system::System;

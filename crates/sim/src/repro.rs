@@ -52,8 +52,7 @@ use seesaw_workloads::catalog;
 use crate::core::Core;
 use crate::runner::{fingerprint, Plan};
 use crate::{
-    CpuKind, Frequency, L1DesignKind, ProbeSource, RunConfig, SchedulerHintPolicy, SimError,
-    System,
+    CpuKind, Frequency, L1DesignKind, ProbeSource, RunConfig, SchedulerHintPolicy, SimError, System,
 };
 
 /// How many trailing trace events a bundle captures.
@@ -384,7 +383,9 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, ReproError> {
     match v {
         "true" => Ok(true),
         "false" => Ok(false),
-        _ => Err(cfg_err(format!("key {key:?}: expected a boolean, got {v:?}"))),
+        _ => Err(cfg_err(format!(
+            "key {key:?}: expected a boolean, got {v:?}"
+        ))),
     }
 }
 
@@ -481,14 +482,13 @@ pub(crate) fn config_from_kv(kv: &[(String, String)]) -> Result<RunConfig, Repro
     config.sample_interval = parse_opt_u64("sample_interval", get("sample_interval")?)?;
     config.checker = parse_bool("checker", get("checker")?)?;
     config.trace = parse_bool("trace", get("trace")?)?;
-    config.stop_at_instruction =
-        parse_opt_u64("stop_at_instruction", get("stop_at_instruction")?)?;
+    config.stop_at_instruction = parse_opt_u64("stop_at_instruction", get("stop_at_instruction")?)?;
     let seed = get("seed")?;
     let digits = seed
         .strip_prefix("0x")
         .ok_or_else(|| cfg_err(format!("seed must be 0x-prefixed hex, got {seed:?}")))?;
-    config.seed = u64::from_str_radix(digits, 16)
-        .map_err(|_| cfg_err(format!("invalid seed {seed:?}")))?;
+    config.seed =
+        u64::from_str_radix(digits, 16).map_err(|_| cfg_err(format!("invalid seed {seed:?}")))?;
     config.faults = None;
     config.fault_schedules = None;
     Ok(config)
@@ -618,7 +618,10 @@ impl Collect for ShrinkReport {
             candidates,
             rounds,
         } = self;
-        out.set_u64(&format!("{prefix}.original_points"), *original_points as u64);
+        out.set_u64(
+            &format!("{prefix}.original_points"),
+            *original_points as u64,
+        );
         out.set_u64(&format!("{prefix}.shrunk_points"), *shrunk_points as u64);
         out.set_u64(&format!("{prefix}.original_budget"), *original_budget);
         out.set_u64(&format!("{prefix}.shrunk_budget"), *shrunk_budget);
@@ -644,10 +647,7 @@ pub struct ShrinkOutcome {
 /// Batches candidate configurations through the runner (parallel
 /// workers, failure memoization) and maps each outcome to the violation
 /// it produced, if any.
-fn probe_batch(
-    configs: &[RunConfig],
-    candidates: &mut u64,
-) -> Vec<Option<Box<Violation>>> {
+fn probe_batch(configs: &[RunConfig], candidates: &mut u64) -> Vec<Option<Box<Violation>>> {
     *candidates += configs.len() as u64;
     // Shrinker probes fail by construction and never recur across
     // processes, so they must not pollute a sweep's persistent store.

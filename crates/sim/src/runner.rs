@@ -940,8 +940,7 @@ impl Plan {
         let next = AtomicUsize::new(0);
         let permanent = AtomicUsize::new(0);
         let tally = SupervisorTally::default();
-        let slots: Vec<Mutex<Option<JobOutcome>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let next = &next;
@@ -990,10 +989,10 @@ impl Plan {
                         }
                         out
                     };
-                    let dur_us =
-                        (origin.elapsed().as_micros() as u64).saturating_sub(start_us).max(1);
-                    *slots[i].lock().expect("slot lock") =
-                        Some((outcome, w, start_us, dur_us));
+                    let dur_us = (origin.elapsed().as_micros() as u64)
+                        .saturating_sub(start_us)
+                        .max(1);
+                    *slots[i].lock().expect("slot lock") = Some((outcome, w, start_us, dur_us));
                 });
             }
         });
@@ -1037,14 +1036,16 @@ impl Plan {
                         m.results.insert(key.clone(), result.clone());
                     }
                     Err(
-                        e @ (SimError::Check(_)
-                        | SimError::Mem { .. }
-                        | SimError::PageFault { .. }),
+                        e
+                        @ (SimError::Check(_) | SimError::Mem { .. } | SimError::PageFault { .. }),
                     ) => {
-                        m.failures
-                            .insert(key.clone(), FailureEntry::new(e.clone()));
+                        m.failures.insert(key.clone(), FailureEntry::new(e.clone()));
                     }
-                    Err(SimError::Panic { .. } | SimError::Timeout { .. } | SimError::Skipped { .. }) => {}
+                    Err(
+                        SimError::Panic { .. }
+                        | SimError::Timeout { .. }
+                        | SimError::Skipped { .. },
+                    ) => {}
                 }
                 local.insert(key, outcome);
             }
@@ -1458,7 +1459,11 @@ mod tests {
         assert!(run.journal[1].memo_hit, "duplicate cell must be a hit");
         let fresh = run.journal.iter().filter(|c| !c.memo_hit).count();
         assert_eq!(fresh as u64, run.memo.misses);
-        assert!(run.journal.iter().filter(|c| !c.memo_hit).all(|c| c.dur_us > 0));
+        assert!(run
+            .journal
+            .iter()
+            .filter(|c| !c.memo_hit)
+            .all(|c| c.dur_us > 0));
     }
 
     #[test]
@@ -1476,9 +1481,9 @@ mod tests {
             .expect("traceEvents array");
         // Metadata + at least one record per journal cell.
         assert!(events.len() >= run.journal.len());
-        assert!(events.iter().any(|e| {
-            e.get("ph").and_then(seesaw_trace::json::Json::as_str) == Some("i")
-        }));
+        assert!(events
+            .iter()
+            .any(|e| { e.get("ph").and_then(seesaw_trace::json::Json::as_str) == Some("i") }));
     }
 
     #[test]

@@ -754,7 +754,10 @@ impl OpsSummary {
             ));
         }
         let sup = &self.supervisor;
-        if sup.panics_caught + sup.timeouts + sup.retries + sup.permanent_failures
+        if sup.panics_caught
+            + sup.timeouts
+            + sup.retries
+            + sup.permanent_failures
             + sup.cells_skipped
             > 0
         {
@@ -893,7 +896,10 @@ mod tests {
         assert_eq!(doc.get("state").and_then(Json::as_str), Some("running"));
         let cells = doc.get("cells").and_then(Json::as_array).unwrap();
         assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].get("state").and_then(Json::as_str), Some("running"));
+        assert_eq!(
+            cells[0].get("state").and_then(Json::as_str),
+            Some("running")
+        );
         assert_eq!(cells[0].get("phase").and_then(Json::as_str), Some("warmup"));
         assert_eq!(cells[0].get("fraction").and_then(Json::as_f64), Some(0.5));
         assert_eq!(cells[1].get("cached").and_then(Json::as_bool), Some(true));

@@ -683,7 +683,10 @@ fn dec_hist(d: &Dec, p: &str) -> Result<Log2Histogram, DecErr> {
         n = i + 1;
     }
     if n != buckets.len() {
-        return Err(format!("key {p:?}.buckets: expected {} buckets", buckets.len()));
+        return Err(format!(
+            "key {p:?}.buckets: expected {} buckets",
+            buckets.len()
+        ));
     }
     Ok(Log2Histogram::from_parts(buckets, count, sum))
 }
@@ -731,7 +734,10 @@ fn enc_metrics(e: &mut Enc, p: &str, m: &MetricsRegistry) {
     for (key, value) in m.iter() {
         match value {
             MetricValue::U64(v) => e.line(&format!("{p}.k.{key}"), format_args!("u{v}")),
-            MetricValue::F64(v) => e.line(&format!("{p}.k.{key}"), format_args!("f{:016x}", v.to_bits())),
+            MetricValue::F64(v) => e.line(
+                &format!("{p}.k.{key}"),
+                format_args!("f{:016x}", v.to_bits()),
+            ),
         }
     }
 }
@@ -790,8 +796,14 @@ fn enc_core(e: &mut Enc, p: &str, c: &CoreResult) {
     enc_counters(e, &format!("{p}.seesaw"), seesaw);
     enc_counters(e, &format!("{p}.tft"), tft);
     e.u(&format!("{p}.coherence_probes"), *coherence_probes);
-    e.f(&format!("{p}.superpage_ref_fraction"), *superpage_ref_fraction);
-    e.opt_f(&format!("{p}.way_prediction_accuracy"), *way_prediction_accuracy);
+    e.f(
+        &format!("{p}.superpage_ref_fraction"),
+        *superpage_ref_fraction,
+    );
+    e.opt_f(
+        &format!("{p}.way_prediction_accuracy"),
+        *way_prediction_accuracy,
+    );
     enc_opt(e, &format!("{p}.faults"), faults.as_ref());
     enc_opt(e, &format!("{p}.checker"), checker.as_ref());
     enc_samples(e, &format!("{p}.samples"), samples);
@@ -964,10 +976,8 @@ mod tests {
     use crate::{RunConfig, System};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "seesaw-store-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("seesaw-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -1111,10 +1121,7 @@ mod tests {
         store.put_result(&fp, &result);
         assert!(matches!(store.get(&fp), Some(StoredOutcome::Result(_))));
         assert_eq!((1, 0), store.verify());
-        assert!(store
-            .dir()
-            .join("journal.log")
-            .exists());
+        assert!(store.dir().join("journal.log").exists());
         let _ = fs::remove_dir_all(store.dir());
     }
 }

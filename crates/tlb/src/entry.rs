@@ -55,8 +55,8 @@ mod tests {
 
     fn entry_2m() -> TlbEntry {
         TlbEntry {
-            vpn: 0x200,                               // VA 0x4000_0000
-            frame_base: PhysAddr::new(0x1260_0000),   // 2MB aligned
+            vpn: 0x200,                             // VA 0x4000_0000
+            frame_base: PhysAddr::new(0x1260_0000), // 2MB aligned
             size: PageSize::Super2M,
             asid: 3,
         }

@@ -68,7 +68,10 @@ impl FullyAssocTlb {
 
     /// Valid entries caching superpage translations.
     pub fn valid_superpage_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.size.is_superpage()).count()
+        self.entries
+            .iter()
+            .filter(|e| e.size.is_superpage())
+            .count()
     }
 
     /// Looks up a translation (any page size), updating LRU on hit.

@@ -4,9 +4,7 @@
 use seesaw_mem::{AddressSpace, PageSize, PageTableOp, VirtAddr, VirtPage};
 
 use crate::config::L1Organization;
-use crate::{
-    FullyAssocTlb, PageWalker, SetAssocTlb, TlbEntry, TlbHierarchyConfig, TlbStats,
-};
+use crate::{FullyAssocTlb, PageWalker, SetAssocTlb, TlbEntry, TlbHierarchyConfig, TlbStats};
 
 /// Which level of the hierarchy served a translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,11 +57,14 @@ impl TlbHierarchy {
     /// Builds a hierarchy from a configuration.
     pub fn new(config: TlbHierarchyConfig) -> Self {
         let l1 = match config.l1 {
-            L1Organization::Split { l1_4k, l1_2m, l1_1g } => L1Tlbs::Split {
+            L1Organization::Split {
+                l1_4k,
+                l1_2m,
+                l1_1g,
+            } => L1Tlbs::Split {
                 l1_4k: SetAssocTlb::new(l1_4k.entries, l1_4k.ways, PageSize::Base4K),
                 l1_2m: SetAssocTlb::new(l1_2m.entries, l1_2m.ways, PageSize::Super2M),
-                l1_1g: l1_1g
-                    .map(|c| SetAssocTlb::new(c.entries, c.ways, PageSize::Super1G)),
+                l1_1g: l1_1g.map(|c| SetAssocTlb::new(c.entries, c.ways, PageSize::Super1G)),
             },
             L1Organization::Unified { entries } => L1Tlbs::Unified(FullyAssocTlb::new(entries)),
         };
@@ -158,9 +159,16 @@ impl TlbHierarchy {
     /// Combined L1 stats (summed over the split structures).
     pub fn l1_stats(&self) -> TlbStats {
         match &self.l1 {
-            L1Tlbs::Split { l1_4k, l1_2m, l1_1g } => {
+            L1Tlbs::Split {
+                l1_4k,
+                l1_2m,
+                l1_1g,
+            } => {
                 let mut s = TlbStats::default();
-                for t in [Some(l1_4k), Some(l1_2m), l1_1g.as_ref()].into_iter().flatten() {
+                for t in [Some(l1_4k), Some(l1_2m), l1_1g.as_ref()]
+                    .into_iter()
+                    .flatten()
+                {
                     s.merge(&t.stats());
                 }
                 s
@@ -186,7 +194,11 @@ impl TlbHierarchy {
 
     fn l1_lookup(&mut self, va: VirtAddr, asid: u16) -> Option<TlbEntry> {
         match &mut self.l1 {
-            L1Tlbs::Split { l1_4k, l1_2m, l1_1g } => {
+            L1Tlbs::Split {
+                l1_4k,
+                l1_2m,
+                l1_1g,
+            } => {
                 // All split L1 TLBs are probed in parallel in hardware; at
                 // most one can hit because mappings don't overlap.
                 let hit = l1_4k
@@ -207,7 +219,11 @@ impl TlbHierarchy {
             entry.size,
         );
         match &mut self.l1 {
-            L1Tlbs::Split { l1_4k, l1_2m, l1_1g } => match entry.size {
+            L1Tlbs::Split {
+                l1_4k,
+                l1_2m,
+                l1_1g,
+            } => match entry.size {
                 PageSize::Base4K => {
                     l1_4k.fill(entry);
                     Vec::new()
@@ -236,7 +252,11 @@ impl TlbHierarchy {
 
     fn invalidate_page(&mut self, page: VirtPage) {
         match &mut self.l1 {
-            L1Tlbs::Split { l1_4k, l1_2m, l1_1g } => {
+            L1Tlbs::Split {
+                l1_4k,
+                l1_2m,
+                l1_1g,
+            } => {
                 l1_4k.invalidate_page(page);
                 l1_2m.invalidate_page(page);
                 if let Some(t) = l1_1g.as_mut() {
@@ -330,7 +350,11 @@ mod tests {
         let op = space.promote(&mut pmem, base).unwrap();
         tlbs.handle_op(&op);
         let r = tlbs.lookup(base, &space).unwrap();
-        assert_eq!(r.level, TlbLevel::PageWalk, "stale base entries were dropped");
+        assert_eq!(
+            r.level,
+            TlbLevel::PageWalk,
+            "stale base entries were dropped"
+        );
         assert_eq!(r.entry.size, PageSize::Super2M);
     }
 
@@ -347,8 +371,14 @@ mod tests {
         let mut tlbs = TlbHierarchy::new(TlbHierarchyConfig::unified(32));
         tlbs.lookup(huge.base(), &space).unwrap();
         tlbs.lookup(small.base(), &space).unwrap();
-        assert_eq!(tlbs.lookup(huge.base(), &space).unwrap().level, TlbLevel::L1);
-        assert_eq!(tlbs.lookup(small.base(), &space).unwrap().level, TlbLevel::L1);
+        assert_eq!(
+            tlbs.lookup(huge.base(), &space).unwrap().level,
+            TlbLevel::L1
+        );
+        assert_eq!(
+            tlbs.lookup(small.base(), &space).unwrap().level,
+            TlbLevel::L1
+        );
         assert_eq!(tlbs.superpage_l1_occupancy().0, 1);
     }
 

@@ -56,7 +56,10 @@ impl SetAssocTlb {
     /// # Panics
     /// Panics unless `entries` is a positive multiple of `ways`.
     pub fn new(entries: usize, ways: usize, size: PageSize) -> Self {
-        assert!(ways > 0 && entries.is_multiple_of(ways), "entries must divide by ways");
+        assert!(
+            ways > 0 && entries.is_multiple_of(ways),
+            "entries must divide by ways"
+        );
         let sets = entries / ways;
         assert!(sets > 0, "need at least one set");
         Self {

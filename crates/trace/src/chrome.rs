@@ -212,11 +212,16 @@ mod tests {
         assert_eq!(events.len(), 4);
         let span = &events[2];
         assert_eq!(span.get("ph").and_then(Json::as_str), Some("X"));
-        assert_eq!(span.get("name").and_then(Json::as_str), Some("fig7 \"cell\""));
+        assert_eq!(
+            span.get("name").and_then(Json::as_str),
+            Some("fig7 \"cell\"")
+        );
         assert_eq!(span.get("ts").and_then(Json::as_u64), Some(10));
         assert_eq!(span.get("dur").and_then(Json::as_u64), Some(250));
         assert_eq!(
-            span.get("args").and_then(|a| a.get("memo")).and_then(Json::as_str),
+            span.get("args")
+                .and_then(|a| a.get("memo"))
+                .and_then(Json::as_str),
             Some("miss")
         );
         assert_eq!(events[3].get("ph").and_then(Json::as_str), Some("i"));

@@ -61,7 +61,11 @@ mod tests {
     fn renders_header_and_rows() {
         let mut c = Csv::new(&["window", "cpi", "label"]);
         c.row(&["1".to_string(), "0.91".to_string(), "plain".to_string()]);
-        c.row(&["2".to_string(), "1.05".to_string(), "has,comma \"q\"".to_string()]);
+        c.row(&[
+            "2".to_string(),
+            "1.05".to_string(),
+            "has,comma \"q\"".to_string(),
+        ]);
         assert_eq!(
             c.render(),
             "window,cpi,label\n1,0.91,plain\n2,1.05,\"has,comma \"\"q\"\"\"\n"

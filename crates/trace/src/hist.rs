@@ -171,7 +171,11 @@ impl Log2Histogram {
 
 impl Collect for Log2Histogram {
     fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let Log2Histogram { buckets: _, count, sum } = *self;
+        let Log2Histogram {
+            buckets: _,
+            count,
+            sum,
+        } = *self;
         out.set_u64(&format!("{prefix}.count"), count);
         out.set_u64(&format!("{prefix}.sum"), sum);
         out.set_f64(&format!("{prefix}.mean"), self.mean());

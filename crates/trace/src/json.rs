@@ -343,9 +343,14 @@ mod tests {
             doc.get("a").and_then(Json::as_array).map(|a| a.len()),
             Some(3)
         );
-        assert_eq!(doc.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(-300.0));
         assert_eq!(
-            doc.get("b").and_then(|b| b.get("c")).and_then(Json::as_bool),
+            doc.get("a").unwrap().as_array().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
+        assert_eq!(
+            doc.get("b")
+                .and_then(|b| b.get("c"))
+                .and_then(Json::as_bool),
             Some(true)
         );
         assert_eq!(doc.get("e").and_then(Json::as_str), Some("x\ny"));

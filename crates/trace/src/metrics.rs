@@ -361,7 +361,10 @@ mod tests {
         assert_eq!(m.len(), 3);
         let keys: Vec<_> = m.keys().collect();
         assert_eq!(keys, vec!["a.rate", "b.count", "c.bad"]);
-        assert_eq!(m.to_json(), "{\"a.rate\":0.500000,\"b.count\":3,\"c.bad\":0.000000}");
+        assert_eq!(
+            m.to_json(),
+            "{\"a.rate\":0.500000,\"b.count\":3,\"c.bad\":0.000000}"
+        );
     }
 
     #[test]

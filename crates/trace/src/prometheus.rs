@@ -89,10 +89,8 @@ impl Prometheus {
                     .push_str(&format!("{base}_bucket{{le=\"{le}\"}} {cumulative}\n"));
             }
         }
-        self.out.push_str(&format!(
-            "{base}_bucket{{le=\"+Inf\"}} {}\n",
-            hist.count()
-        ));
+        self.out
+            .push_str(&format!("{base}_bucket{{le=\"+Inf\"}} {}\n", hist.count()));
         self.out.push_str(&format!("{base}_sum {}\n", hist.sum()));
         self.out
             .push_str(&format!("{base}_count {}\n", hist.count()));
@@ -209,7 +207,10 @@ pub fn validate(text: &str) -> Result<PromReport, PromError> {
                 if !valid_name(name) {
                     return Err(err(lineno, format!("invalid metric name \"{name}\"")));
                 }
-                if !matches!(kind, "gauge" | "counter" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "gauge" | "counter" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(err(lineno, format!("unknown metric type \"{kind}\"")));
                 }
                 if types.insert(name.to_string(), kind.to_string()).is_some() {
@@ -283,13 +284,11 @@ pub fn validate(text: &str) -> Result<PromReport, PromError> {
 
         // Resolve the declared family: histogram series use suffixed
         // names.
-        let family = ["_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|suffix| {
-                name.strip_suffix(suffix)
-                    .filter(|base| hists.contains_key(*base))
-                    .map(|base| (base.to_string(), *suffix))
-            });
+        let family = ["_bucket", "_sum", "_count"].iter().find_map(|suffix| {
+            name.strip_suffix(suffix)
+                .filter(|base| hists.contains_key(*base))
+                .map(|base| (base.to_string(), *suffix))
+        });
         match family {
             Some((base, suffix)) => {
                 let h = hists.get_mut(&base).expect("family resolved above");
@@ -339,9 +338,7 @@ pub fn validate(text: &str) -> Result<PromReport, PromError> {
                 if *cumulative != count {
                     return Err(err(
                         0,
-                        format!(
-                            "histogram {base}: +Inf bucket {cumulative} != count {count}"
-                        ),
+                        format!("histogram {base}: +Inf bucket {cumulative} != count {count}"),
                     ));
                 }
             }

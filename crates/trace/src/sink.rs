@@ -107,7 +107,8 @@ impl Sink for RingSink {
         self.counts.observe(&kind);
         let core = self.core;
         if core as usize >= self.per_core.len() {
-            self.per_core.resize(core as usize + 1, EventCounts::default());
+            self.per_core
+                .resize(core as usize + 1, EventCounts::default());
         }
         self.per_core[core as usize].observe(&kind);
         if self.ring.len() == self.capacity {

@@ -156,8 +156,7 @@ impl TraceGenerator {
                 // applications touch parts of their pages at a time — so
                 // the resident working set stays LLC-sized while the TLB
                 // and TFT still see the full 2 MB-region set.
-                let region =
-                    self.active_regions[self.rng.gen_range(0..self.active_regions.len())];
+                let region = self.active_regions[self.rng.gen_range(0..self.active_regions.len())];
                 let span = (2u64 << 20).min(self.footprint - region);
                 let slice_bytes = span.min(256 << 10);
                 let slices = (span / slice_bytes).max(1);
@@ -241,10 +240,9 @@ fn aligned_below(rng: &mut StdRng, max: u64, align: u64) -> u64 {
 }
 
 fn hash_name(name: &str) -> u64 {
-    name.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]

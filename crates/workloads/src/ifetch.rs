@@ -91,9 +91,7 @@ impl IFetchGenerator {
 
     /// Produces the next 16-byte-aligned fetch offset.
     pub fn next_fetch(&mut self) -> u64 {
-        if self.cursor >= self.limit
-            || self.rng.gen::<f64>() < self.config.transfer_probability
-        {
+        if self.cursor >= self.limit || self.rng.gen::<f64>() < self.config.transfer_probability {
             self.transfer();
         }
         let fetch = self.cursor;

@@ -38,5 +38,5 @@ mod trace_file;
 
 pub use generator::{TraceGenerator, TraceRef};
 pub use ifetch::{IFetchConfig, IFetchGenerator};
-pub use trace_file::TraceFile;
 pub use spec::{catalog, cloud_subset, fig12_subset, WorkloadClass, WorkloadSpec};
+pub use trace_file::TraceFile;

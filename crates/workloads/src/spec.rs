@@ -121,7 +121,9 @@ pub fn catalog() -> Vec<WorkloadSpec> {
 
 /// The eight cloud-centric workloads of Fig. 15's way-prediction study.
 pub fn cloud_subset() -> Vec<WorkloadSpec> {
-    let pick = ["olio", "redis", "nutch", "tunk", "g500", "mongo", "cann", "mcf"];
+    let pick = [
+        "olio", "redis", "nutch", "tunk", "g500", "mongo", "cann", "mcf",
+    ];
     let all = catalog();
     pick.iter()
         .map(|n| *all.iter().find(|w| w.name == *n).expect("known workload"))
@@ -143,8 +145,8 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                "astar", "cactus", "cann", "gems", "g500", "gups", "mcf", "mumm", "omnet",
-                "tigr", "tunk", "xalanc", "nutch", "olio", "redis", "mongo"
+                "astar", "cactus", "cann", "gems", "g500", "gups", "mcf", "mumm", "omnet", "tigr",
+                "tunk", "xalanc", "nutch", "olio", "redis", "mongo"
             ]
         );
     }
@@ -153,7 +155,11 @@ mod tests {
     fn fractions_are_sane() {
         for w in catalog() {
             let structured = w.hot_fraction + w.sequential_fraction + w.conflict_fraction;
-            assert!(structured < 1.0, "{}: fractions must leave room for random", w.name);
+            assert!(
+                structured < 1.0,
+                "{}: fractions must leave room for random",
+                w.name
+            );
             assert!((0.0..=1.0).contains(&w.write_fraction));
             assert!(w.mem_ref_fraction > 0.0 && w.mem_ref_fraction < 1.0);
             assert!(w.footprint_mib >= 16);

@@ -112,7 +112,9 @@ impl TraceFile {
             r.read_exact(&mut record)?;
             refs.push(TraceRef {
                 offset: u64::from_le_bytes(record[0..8].try_into().expect("8 bytes")),
-                gap: u64::from(u32::from_le_bytes(record[8..12].try_into().expect("4 bytes"))),
+                gap: u64::from(u32::from_le_bytes(
+                    record[8..12].try_into().expect("4 bytes"),
+                )),
                 is_write: record[12] != 0,
             });
         }
@@ -164,8 +166,7 @@ mod tests {
         let err = TraceFile::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(
-            err.kind() == io::ErrorKind::InvalidData
-                || err.kind() == io::ErrorKind::UnexpectedEof
+            err.kind() == io::ErrorKind::InvalidData || err.kind() == io::ErrorKind::UnexpectedEof
         );
     }
 

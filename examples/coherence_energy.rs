@@ -18,9 +18,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== MOESI substrate: 4 cores, producer/consumer sharing ==\n");
     let l1 = CacheConfig::new(32 << 10, 8, 64, IndexPolicy::Vipt);
     for (label, mode, probe_ways) in [
-        ("directory, 8-way probes (baseline VIPT)", CoherenceMode::Directory, 8),
-        ("directory, 4-way probes (SEESAW)", CoherenceMode::Directory, 4),
-        ("snoopy,    8-way probes (baseline VIPT)", CoherenceMode::Snoopy, 8),
+        (
+            "directory, 8-way probes (baseline VIPT)",
+            CoherenceMode::Directory,
+            8,
+        ),
+        (
+            "directory, 4-way probes (SEESAW)",
+            CoherenceMode::Directory,
+            4,
+        ),
+        (
+            "snoopy,    8-way probes (baseline VIPT)",
+            CoherenceMode::Snoopy,
+            8,
+        ),
         ("snoopy,    4-way probes (SEESAW)", CoherenceMode::Snoopy, 4),
     ] {
         let mut dir = DirectoryController::new(4, l1, mode, probe_ways);

@@ -12,13 +12,19 @@ use seesaw_sim::{Frequency, L1DesignKind, RunConfig, System, Table};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let designs: [(&str, L1DesignKind); 8] = [
         ("baseline VIPT 32-way", L1DesignKind::BaselineVipt),
-        ("VIPT + way prediction", L1DesignKind::BaselineWithWayPrediction),
+        (
+            "VIPT + way prediction",
+            L1DesignKind::BaselineWithWayPrediction,
+        ),
         ("PIPT 2-way", L1DesignKind::Pipt { ways: 2 }),
         ("PIPT 4-way", L1DesignKind::Pipt { ways: 4 }),
         ("PIPT 8-way", L1DesignKind::Pipt { ways: 8 }),
         ("VIVT 8-way (synonym hw)", L1DesignKind::Vivt { ways: 8 }),
         ("SEESAW", L1DesignKind::Seesaw),
-        ("SEESAW + way prediction", L1DesignKind::SeesawWithWayPrediction),
+        (
+            "SEESAW + way prediction",
+            L1DesignKind::SeesawWithWayPrediction,
+        ),
     ];
 
     let base_cfg = RunConfig::paper("mongo")

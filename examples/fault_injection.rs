@@ -22,7 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let r = System::build(&cfg)?.run()?;
     let faults = r.faults.expect("injector attached");
     let checker = r.checker.expect("checker enabled");
-    println!("clean run: {} instructions, CPI {:.3}", r.totals.instructions, r.totals.cpi());
+    println!(
+        "clean run: {} instructions, CPI {:.3}",
+        r.totals.instructions,
+        r.totals.cpi()
+    );
     println!(
         "  faults fired: {} (splinters {}, promotions {}, shootdowns {}, \
          tft storms {}, context switches {}, pressure {}/{})",

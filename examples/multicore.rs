@@ -14,10 +14,17 @@ fn main() {
     let l1 = CacheConfig::new(64 << 10, 16, 64, IndexPolicy::Vipt);
     let sram = SramModel::tsmc28_scaled_22nm();
     println!("4 cores, 64KB 16-way L1s, MOESI; work-stealing sharing pattern\n");
-    println!("{:<32} {:>10} {:>12} {:>12}", "configuration", "probes", "ways probed", "probe µJ");
+    println!(
+        "{:<32} {:>10} {:>12} {:>12}",
+        "configuration", "probes", "ways probed", "probe µJ"
+    );
 
     for (label, mode, probe_ways) in [
-        ("directory + baseline (16-way)", CoherenceMode::Directory, 16),
+        (
+            "directory + baseline (16-way)",
+            CoherenceMode::Directory,
+            16,
+        ),
         ("directory + SEESAW (4-way)", CoherenceMode::Directory, 4),
         ("snoopy + baseline (16-way)", CoherenceMode::Snoopy, 16),
         ("snoopy + SEESAW (4-way)", CoherenceMode::Snoopy, 4),

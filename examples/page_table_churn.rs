@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         table.row(vec![
             label,
             cycles.to_string(),
-            format!("{:+.2}%", 100.0 * (cycles as f64 / quiet_cycles as f64 - 1.0)),
+            format!(
+                "{:+.2}%",
+                100.0 * (cycles as f64 / quiet_cycles as f64 - 1.0)
+            ),
             invalidations.to_string(),
             sweeps.to_string(),
             swept.to_string(),
@@ -48,9 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run(
-    page_op_interval: Option<u64>,
-) -> Result<(u64, u64, u64, u64), Box<dyn std::error::Error>> {
+fn run(page_op_interval: Option<u64>) -> Result<(u64, u64, u64, u64), Box<dyn std::error::Error>> {
     let mut cfg = RunConfig::paper("redis")
         .l1_size(64)
         .design(L1DesignKind::Seesaw)

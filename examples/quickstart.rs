@@ -68,7 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("DRAM", b.dram_nj, s.dram_nj),
         ("leakage", b.leakage_nj, s.leakage_nj),
     ] {
-        println!("  {label:<16} {:>8.1} → {:>8.1}", lhs / 1000.0, rhs / 1000.0);
+        println!(
+            "  {label:<16} {:>8.1} → {:>8.1}",
+            lhs / 1000.0,
+            rhs / 1000.0
+        );
     }
     Ok(())
 }

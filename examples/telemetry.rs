@@ -55,7 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {line}");
     }
 
-    println!("\nA few keys from the run's flat metrics registry ({} total):", result.metrics.len());
+    println!(
+        "\nA few keys from the run's flat metrics registry ({} total):",
+        result.metrics.len()
+    );
     for key in [
         "cpu.cycles",
         "l1.misses",

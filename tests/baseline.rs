@@ -54,14 +54,11 @@ fn configs() -> Vec<(&'static str, RunConfig)> {
                 .memhog(40)
                 .with_checker(),
         ),
-        (
-            "gups/seesaw/snoopy",
-            {
-                let mut c = RunConfig::quick("gups").design(L1DesignKind::SeesawWithWayPrediction);
-                c.snoopy = true;
-                c
-            },
-        ),
+        ("gups/seesaw/snoopy", {
+            let mut c = RunConfig::quick("gups").design(L1DesignKind::SeesawWithWayPrediction);
+            c.snoopy = true;
+            c
+        }),
     ]
 }
 
@@ -122,6 +119,10 @@ fn goldens() -> Vec<Digest> {
 fn single_core_output_is_bit_identical_to_pre_refactor_commit() {
     for ((label, config), want) in configs().into_iter().zip(goldens()) {
         let r = seesaw_sim::System::build(&config).unwrap().run().unwrap();
-        assert_eq!(digest(&r), want, "config {label} drifted from pre-refactor golden");
+        assert_eq!(
+            digest(&r),
+            want,
+            "config {label} drifted from pre-refactor golden"
+        );
     }
 }

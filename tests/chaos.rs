@@ -175,8 +175,7 @@ fn panicking_cell_is_isolated_with_label_and_digest() {
     let mut plan = Plan::with_threads(2).without_store();
     plan.push("boom", bad.clone());
     plan.push("fine", good);
-    let policy =
-        SweepPolicy::default().supervisor(SupervisorConfig::default().retries(1));
+    let policy = SweepPolicy::default().supervisor(SupervisorConfig::default().retries(1));
     let report = plan.run_sweep(policy);
 
     let Err(SimError::Panic {
@@ -385,10 +384,7 @@ fn failure_budget_skips_remaining_cells_but_survivors_complete() {
     plan.push("never-started", good.clone());
     let report = plan.run_sweep(SweepPolicy::default().max_failures(0));
     assert!(matches!(report.outcomes[0], Err(SimError::Check(_))));
-    assert!(matches!(
-        report.outcomes[1],
-        Err(SimError::Skipped { .. })
-    ));
+    assert!(matches!(report.outcomes[1], Err(SimError::Skipped { .. })));
     assert_eq!(report.failed.len(), 2);
     assert_eq!(report.skipped().count(), 1);
     assert_eq!(report.supervisor.cells_skipped, 1);
@@ -400,7 +396,9 @@ fn failure_budget_skips_remaining_cells_but_survivors_complete() {
     // with headroom.
     let mut plan = Plan::with_threads(1).without_store();
     plan.push("runs-now", good);
-    assert!(plan.run_sweep(SweepPolicy::default().max_failures(5)).all_ok());
+    assert!(plan
+        .run_sweep(SweepPolicy::default().max_failures(5))
+        .all_ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -436,8 +434,7 @@ fn failure_memo_and_store_record_the_bundle_path() {
     // relaunched process) rehydrates the violation with the path and the
     // bundle itself.
     let reopened = Store::open(&store_dir).unwrap();
-    let Some(StoredOutcome::Failure(SimError::Check(v))) = reopened.get(&fingerprint(&bad))
-    else {
+    let Some(StoredOutcome::Failure(SimError::Check(v))) = reopened.get(&fingerprint(&bad)) else {
         panic!("expected a persisted failure marker");
     };
     assert_eq!(v.autosaved.as_ref(), Some(&bundle_path));
@@ -453,10 +450,8 @@ fn unwritable_repro_dir_degrades_gracefully() {
     // Point SEESAW_REPRO at a *file*: create_dir_all must fail, the run
     // must still report the violation with its in-memory bundle, and the
     // autosaved path must be absent.
-    let blocker = std::env::temp_dir().join(format!(
-        "seesaw-chaos-not-a-dir-{}",
-        std::process::id()
-    ));
+    let blocker =
+        std::env::temp_dir().join(format!("seesaw-chaos-not-a-dir-{}", std::process::id()));
     std::fs::write(&blocker, b"occupied").unwrap();
     std::env::set_var("SEESAW_REPRO", &blocker);
 
@@ -485,10 +480,15 @@ fn unwritable_repro_dir_degrades_gracefully() {
 fn kill_resume_grid() -> Vec<(String, RunConfig)> {
     let b = 130_000;
     vec![
-        ("astar-base".into(), RunConfig::quick("astar").instructions(b)),
+        (
+            "astar-base".into(),
+            RunConfig::quick("astar").instructions(b),
+        ),
         (
             "astar-seesaw".into(),
-            RunConfig::quick("astar").instructions(b).design(L1DesignKind::Seesaw),
+            RunConfig::quick("astar")
+                .instructions(b)
+                .design(L1DesignKind::Seesaw),
         ),
         ("gups-base".into(), RunConfig::quick("gups").instructions(b)),
         (
@@ -498,7 +498,9 @@ fn kill_resume_grid() -> Vec<(String, RunConfig)> {
         ("mcf-base".into(), RunConfig::quick("mcf").instructions(b)),
         (
             "redis-seesaw".into(),
-            RunConfig::quick("redis").instructions(b).design(L1DesignKind::Seesaw),
+            RunConfig::quick("redis")
+                .instructions(b)
+                .design(L1DesignKind::Seesaw),
         ),
     ]
 }
@@ -589,7 +591,11 @@ fn sigkill_mid_sweep_then_resume_is_bit_identical() {
         plan.push(label, cfg);
     }
     let report = plan.run_sweep(SweepPolicy::from_env());
-    assert!(report.all_ok(), "resumed sweep must complete: {}", report.summary());
+    assert!(
+        report.all_ok(),
+        "resumed sweep must complete: {}",
+        report.summary()
+    );
     assert!(
         store.stats().hits >= 1,
         "resume must reuse at least one of the child's committed cells"
@@ -600,7 +606,10 @@ fn sigkill_mid_sweep_then_resume_is_bit_identical() {
     for ((label, cfg), outcome) in kill_resume_grid().iter().zip(&report.outcomes) {
         let resumed = outcome.as_ref().expect("cell completed");
         let serial = System::build(cfg).unwrap().run().unwrap();
-        assert_eq!(serial.totals.cycles, resumed.totals.cycles, "{label}: cycles");
+        assert_eq!(
+            serial.totals.cycles, resumed.totals.cycles,
+            "{label}: cycles"
+        );
         assert_eq!(serial.l1.misses, resumed.l1.misses, "{label}: misses");
         assert_eq!(
             serial.runtime_ns.to_bits(),
@@ -612,7 +621,10 @@ fn sigkill_mid_sweep_then_resume_is_bit_identical() {
             resumed.energy.total_nj().to_bits(),
             "{label}: energy bits"
         );
-        assert_eq!(serial.walk_latency, resumed.walk_latency, "{label}: histogram");
+        assert_eq!(
+            serial.walk_latency, resumed.walk_latency,
+            "{label}: histogram"
+        );
     }
 
     // And the store itself audits clean after the repair.

@@ -46,8 +46,14 @@ fn all_fault_kinds_run_clean_on_every_design() {
             0,
             "{design:?}: violations on a correct simulator"
         );
-        assert!(checker.loads_checked > 0, "{design:?}: checker saw no loads");
-        assert!(checker.stores_tracked > 0, "{design:?}: checker saw no stores");
+        assert!(
+            checker.loads_checked > 0,
+            "{design:?}: checker saw no loads"
+        );
+        assert!(
+            checker.stores_tracked > 0,
+            "{design:?}: checker saw no stores"
+        );
         let faults = result.faults.expect("injector was attached");
         assert!(
             faults.total() > 10,
@@ -167,7 +173,11 @@ fn two_core_fault_injected_runs_stay_clean_and_deterministic() {
     };
     let a = run();
     let checker = a.checker.as_ref().expect("checker was enabled");
-    assert_eq!(checker.violations.total(), 0, "violations on a correct simulator");
+    assert_eq!(
+        checker.violations.total(),
+        0,
+        "violations on a correct simulator"
+    );
     assert!(checker.loads_checked > 0);
     let faults = a.faults.as_ref().expect("injector was attached");
     assert!(faults.total() > 0, "injectors never fired ({faults:?})");

@@ -15,7 +15,13 @@ fn timing() -> L1Timing {
 
 /// Builds an OS with one superpage-backed VMA and wires a SEESAW L1 to
 /// the TLB hierarchy the way the simulator does.
-fn setup() -> (PhysicalMemory, AddressSpace, VirtAddr, TlbHierarchy, SeesawL1) {
+fn setup() -> (
+    PhysicalMemory,
+    AddressSpace,
+    VirtAddr,
+    TlbHierarchy,
+    SeesawL1,
+) {
     let mut pmem = PhysicalMemory::new(256 << 20);
     let mut space = AddressSpace::new(1);
     let vma = space
@@ -61,9 +67,21 @@ fn tft_never_claims_base_pages_through_the_real_tlb_path() {
     // Interleave superpage and base-page traffic; the TFT must track only
     // the former (the debug assertion inside `access` enforces precision).
     for i in 0..4096u64 {
-        let out = access(&space, &mut tlbs, &mut l1, huge.base().offset(i * 4096 % huge.bytes()), false);
+        let out = access(
+            &space,
+            &mut tlbs,
+            &mut l1,
+            huge.base().offset(i * 4096 % huge.bytes()),
+            false,
+        );
         assert!(out.tft_hit.is_some());
-        let out = access(&space, &mut tlbs, &mut l1, small.base().offset(i * 4096 % small.bytes()), false);
+        let out = access(
+            &space,
+            &mut tlbs,
+            &mut l1,
+            small.base().offset(i * 4096 % small.bytes()),
+            false,
+        );
         assert_eq!(
             out.tft_hit,
             Some(false),
@@ -89,7 +107,10 @@ fn splinter_keeps_cached_data_reachable() {
     // since splintering moves no data) and still finds the line.
     let out = access(&space, &mut tlbs, &mut l1, va, false);
     assert_eq!(out.tft_hit, Some(false), "TFT entry was invalidated");
-    assert!(out.hit, "lines of the splintered page must remain accessible");
+    assert!(
+        out.hit,
+        "lines of the splintered page must remain accessible"
+    );
     assert_eq!(out.ways_probed, 8, "base-page accesses search the full set");
 }
 

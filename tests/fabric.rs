@@ -55,10 +55,15 @@ fn wait_until(deadline_secs: u64, what: &str, mut done: impl FnMut() -> bool) {
 fn fleet_grid() -> Vec<(String, RunConfig)> {
     let b = 141_000;
     vec![
-        ("astar-base".into(), RunConfig::quick("astar").instructions(b)),
+        (
+            "astar-base".into(),
+            RunConfig::quick("astar").instructions(b),
+        ),
         (
             "astar-seesaw".into(),
-            RunConfig::quick("astar").instructions(b).design(L1DesignKind::Seesaw),
+            RunConfig::quick("astar")
+                .instructions(b)
+                .design(L1DesignKind::Seesaw),
         ),
         ("gups-base".into(), RunConfig::quick("gups").instructions(b)),
         (
@@ -68,7 +73,9 @@ fn fleet_grid() -> Vec<(String, RunConfig)> {
         ("mcf-base".into(), RunConfig::quick("mcf").instructions(b)),
         (
             "redis-seesaw".into(),
-            RunConfig::quick("redis").instructions(b).design(L1DesignKind::Seesaw),
+            RunConfig::quick("redis")
+                .instructions(b)
+                .design(L1DesignKind::Seesaw),
         ),
     ]
 }
@@ -237,10 +244,15 @@ fn sigkilled_workers_lease_is_stolen_and_the_sweep_completes() {
         .submit(
             "steal-test",
             vec![
-                ("omnet-base".into(), RunConfig::quick("omnet").instructions(b)),
+                (
+                    "omnet-base".into(),
+                    RunConfig::quick("omnet").instructions(b),
+                ),
                 (
                     "omnet-seesaw".into(),
-                    RunConfig::quick("omnet").instructions(b).design(L1DesignKind::Seesaw),
+                    RunConfig::quick("omnet")
+                        .instructions(b)
+                        .design(L1DesignKind::Seesaw),
                 ),
             ],
         )
@@ -291,10 +303,7 @@ fn a_generation_has_exactly_one_winner_across_processes() {
     std::fs::create_dir_all(&dir).unwrap();
     let fabric = open_fabric(&dir);
     fabric
-        .enqueue(
-            "race-cell",
-            &RunConfig::quick("tigr").instructions(143_000),
-        )
+        .enqueue("race-cell", &RunConfig::quick("tigr").instructions(143_000))
         .expect("enqueue race cell");
 
     let children: Vec<_> = (0..4)

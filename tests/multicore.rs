@@ -8,7 +8,9 @@ use seesaw_sim::{L1DesignKind, ProbeSource, RunConfig, System};
 
 #[test]
 fn two_core_directory_delivers_only_real_probes() {
-    let cfg = RunConfig::quick("redis").design(L1DesignKind::Seesaw).cores(2);
+    let cfg = RunConfig::quick("redis")
+        .design(L1DesignKind::Seesaw)
+        .cores(2);
     assert_eq!(cfg.probe_source, ProbeSource::Coherence);
     let r = System::build(&cfg).unwrap().run().unwrap();
 
@@ -25,7 +27,10 @@ fn two_core_directory_delivers_only_real_probes() {
     // probes — must arise.
     let coh = r.coherence.expect("cores=2 attaches the directory");
     assert!(coh.transactions > 0);
-    assert!(coh.probes_delivered > 0, "no sharing detected between cores");
+    assert!(
+        coh.probes_delivered > 0,
+        "no sharing detected between cores"
+    );
     assert!(r.coherence_probes > 0, "no probe reached a timing L1");
     // Every probe the run billed came out of the directory (it also
     // delivers during the unbilled warmup, hence <=, not ==).

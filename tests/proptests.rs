@@ -7,9 +7,7 @@ use seesaw_core::{
     InsertionPolicy, L1DataCache, L1Request, L1Timing, PartitionDecoder, SeesawConfig, SeesawL1,
     TranslationFilterTable,
 };
-use seesaw_mem::{
-    BuddyAllocator, PageFrame, PageSize, PageTable, PhysAddr, VirtAddr, VirtPage,
-};
+use seesaw_mem::{BuddyAllocator, PageFrame, PageSize, PageTable, PhysAddr, VirtAddr, VirtPage};
 
 proptest! {
     /// Buddy allocator: any interleaving of allocations and frees

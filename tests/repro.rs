@@ -40,7 +40,10 @@ fn bundle_round_trip_replays_identically_at_one_and_two_cores() {
         let bundle = record(&seeded_failure(cores))
             .unwrap_or_else(|e| panic!("{cores} core(s): seeded chaos must violate: {e}"));
         assert_eq!(bundle.cores, cores);
-        assert!(bundle.recorded_points() > 0, "{cores} core(s): nothing fired");
+        assert!(
+            bundle.recorded_points() > 0,
+            "{cores} core(s): nothing fired"
+        );
         assert!(
             !bundle.event_tail.is_empty(),
             "{cores} core(s): recorded bundle must carry an event tail"
@@ -48,8 +51,8 @@ fn bundle_round_trip_replays_identically_at_one_and_two_cores() {
 
         // (a) Exact JSON round trip.
         let json = bundle.to_json();
-        let parsed = ReproBundle::from_json(&json)
-            .unwrap_or_else(|e| panic!("{cores} core(s): {e}"));
+        let parsed =
+            ReproBundle::from_json(&json).unwrap_or_else(|e| panic!("{cores} core(s): {e}"));
         assert_eq!(parsed, bundle, "{cores} core(s): JSON round trip drifted");
 
         // (b) Replay the parsed bundle twice; both must match.
@@ -95,7 +98,10 @@ fn shrink_meets_reduction_targets_and_stays_replayable() {
 
     let bundle = &outcome.bundle;
     assert_eq!(bundle.violation.kind, original.violation.kind);
-    let schedules = bundle.schedules.as_ref().expect("shrunk bundle is explicit");
+    let schedules = bundle
+        .schedules
+        .as_ref()
+        .expect("shrunk bundle is explicit");
     let explicit: usize = schedules.iter().map(|s| s.points.len()).sum();
     assert_eq!(explicit, r.shrunk_points);
 

@@ -20,18 +20,23 @@ fn designs() -> [L1DesignKind; 6] {
 fn every_design_completes_and_reports_sane_stats() {
     for name in ["astar", "gups"] {
         for design in designs() {
-            let cfg = RunConfig::paper(name)
-                .design(design)
-                .instructions(BUDGET);
+            let cfg = RunConfig::paper(name).design(design).instructions(BUDGET);
             let r = System::build(&cfg).unwrap().run().unwrap();
             assert!(
                 r.totals.instructions >= BUDGET,
                 "{name}/{design:?}: too few instructions"
             );
-            assert!(r.totals.cycles > r.totals.instructions / 4, "{name}/{design:?}");
+            assert!(
+                r.totals.cycles > r.totals.instructions / 4,
+                "{name}/{design:?}"
+            );
             assert!(r.l1.accesses() > 0, "{name}/{design:?}");
             assert!(r.energy.total_nj() > 0.0, "{name}/{design:?}");
-            assert!(r.l1_mpki > 0.0 && r.l1_mpki < 500.0, "{name}/{design:?}: {:.1}", r.l1_mpki);
+            assert!(
+                r.l1_mpki > 0.0 && r.l1_mpki < 500.0,
+                "{name}/{design:?}: {:.1}",
+                r.l1_mpki
+            );
             assert!((0.0..=1.0).contains(&r.superpage_coverage));
             assert!((0.0..=1.0).contains(&r.superpage_ref_fraction));
         }
@@ -63,11 +68,14 @@ fn seesaw_design_only_differs_in_l1_behavior() {
     // lines live and how many ways are probed, not what is accessed.
     let cfg = RunConfig::paper("xalanc").instructions(BUDGET);
     let base = System::build(&cfg).unwrap().run().unwrap();
-    let seesaw = System::build(&cfg.clone().design(L1DesignKind::Seesaw)).unwrap().run().unwrap();
+    let seesaw = System::build(&cfg.clone().design(L1DesignKind::Seesaw))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(base.totals.instructions, seesaw.totals.instructions);
     assert_eq!(base.l1.accesses(), seesaw.l1.accesses());
-    let miss_delta = (base.l1.misses as f64 - seesaw.l1.misses as f64).abs()
-        / base.l1.misses.max(1) as f64;
+    let miss_delta =
+        (base.l1.misses as f64 - seesaw.l1.misses as f64).abs() / base.l1.misses.max(1) as f64;
     assert!(
         miss_delta < 0.15,
         "partition-local insertion changed misses by {:.1}%",
@@ -90,7 +98,10 @@ fn frequencies_scale_reported_runtime() {
     };
     let slow = run(Frequency::F1_33);
     let fast = run(Frequency::F4_00);
-    assert!(fast.totals.cycles > slow.totals.cycles, "DRAM costs more cycles at 4GHz");
+    assert!(
+        fast.totals.cycles > slow.totals.cycles,
+        "DRAM costs more cycles at 4GHz"
+    );
     assert!(fast.runtime_ns < slow.runtime_ns, "but wall-clock shrinks");
 }
 
@@ -133,7 +144,10 @@ fn telemetry_samples_cover_the_measured_window() {
         assert!(s.mpki >= 0.0);
     }
     // Sampling off → no samples.
-    let quiet = System::build(&RunConfig::quick("astar")).unwrap().run().unwrap();
+    let quiet = System::build(&RunConfig::quick("astar"))
+        .unwrap()
+        .run()
+        .unwrap();
     assert!(quiet.samples.is_empty());
 }
 

@@ -53,15 +53,21 @@ fn read_status(dir: &Path) -> Json {
 }
 
 fn cells_of(doc: &Json) -> &[Json] {
-    doc.get("cells").and_then(Json::as_array).expect("cells array")
+    doc.get("cells")
+        .and_then(Json::as_array)
+        .expect("cells array")
 }
 
 fn str_field<'a>(v: &'a Json, key: &str) -> &'a str {
-    v.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("{key} string"))
+    v.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("{key} string"))
 }
 
 fn u64_field(v: &Json, key: &str) -> u64 {
-    v.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("{key} u64"))
+    v.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{key} u64"))
 }
 
 // ---------------------------------------------------------------------------
@@ -85,9 +91,8 @@ fn status_json_is_always_complete_under_concurrent_reads() {
             let mut parsed = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 if let Ok(text) = std::fs::read_to_string(&path) {
-                    let doc = Json::parse(&text).unwrap_or_else(|e| {
-                        panic!("torn status.json (parse error {e}): {text}")
-                    });
+                    let doc = Json::parse(&text)
+                        .unwrap_or_else(|e| panic!("torn status.json (parse error {e}): {text}"));
                     for key in ["sweep", "state", "cells", "rollup", "supervisor"] {
                         assert!(doc.get(key).is_some(), "snapshot missing {key:?}");
                     }
@@ -105,7 +110,10 @@ fn status_json_is_always_complete_under_concurrent_reads() {
         .named("status-concurrent")
         .with_status(&dir);
     for w in workloads {
-        plan.push(format!("cell-{w}"), RunConfig::quick(w).instructions(51_000));
+        plan.push(
+            format!("cell-{w}"),
+            RunConfig::quick(w).instructions(51_000),
+        );
     }
     let report = plan.run_sweep(SweepPolicy::from_env());
     assert!(report.all_ok());
@@ -169,7 +177,10 @@ fn heartbeats_stop_on_panic_and_watchdog_kill() {
         .without_store()
         .named("status-failures")
         .with_status(&dir);
-    plan.push("panics-once", RunConfig::quick("astar").instructions(52_000));
+    plan.push(
+        "panics-once",
+        RunConfig::quick("astar").instructions(52_000),
+    );
     plan.push("wedged", RunConfig::quick("tunk").instructions(52_000));
     plan.push(
         "healthy",
@@ -185,7 +196,10 @@ fn heartbeats_stop_on_panic_and_watchdog_kill() {
         ..SupervisorConfig::default()
     });
     let report = plan.run_sweep(policy);
-    assert!(report.outcomes[0].is_ok(), "panicking cell recovers on retry");
+    assert!(
+        report.outcomes[0].is_ok(),
+        "panicking cell recovers on retry"
+    );
     assert!(report.outcomes[1].is_err(), "wedged cell fails permanently");
     assert!(report.outcomes[2].is_ok());
 
@@ -333,8 +347,7 @@ fn runtime_snapshot(wall: &[(&str, f64)]) -> String {
 fn bench_diff_flags_20pct_and_ignores_5pct() {
     let old = BenchRun::parse(&runtime_snapshot(&[("fig10", 4.0), ("fig12", 4.0)])).unwrap();
 
-    let regressed =
-        BenchRun::parse(&runtime_snapshot(&[("fig10", 4.8), ("fig12", 4.0)])).unwrap();
+    let regressed = BenchRun::parse(&runtime_snapshot(&[("fig10", 4.8), ("fig12", 4.0)])).unwrap();
     let diff = BenchDiff::compare(&old, &regressed, 15.0, 0.5);
     let regs = diff.regressions();
     assert_eq!(regs.len(), 1);
@@ -348,11 +361,9 @@ fn bench_diff_flags_20pct_and_ignores_5pct() {
 
     // The committed BENCH_runtime.json parses with the same loader the
     // binary uses, so the gate's explanatory half can always run.
-    let committed = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/BENCH_runtime.json"
-    ))
-    .expect("committed runtime snapshot");
+    let committed =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_runtime.json"))
+            .expect("committed runtime snapshot");
     let run = BenchRun::parse(&committed).expect("committed snapshot parses");
     assert!(!run.figures.is_empty());
 }

@@ -174,7 +174,11 @@ fn failed_promotion_is_clean() {
     let free_before = pmem.free_bytes();
     let err = space.promote(&mut pmem, va);
     assert!(err.is_err(), "promotion cannot find a 2 MB frame");
-    assert_eq!(pmem.free_bytes(), free_before, "failed promotion must not leak");
+    assert_eq!(
+        pmem.free_bytes(),
+        free_before,
+        "failed promotion must not leak"
+    );
     assert_eq!(
         space.translate(va).unwrap().page_size,
         PageSize::Base4K,
@@ -207,7 +211,10 @@ fn fragmented_system_degrades_instead_of_panicking() {
     );
     assert!(result.totals.instructions > 0);
     // Degradation must not corrupt anything the checker can see.
-    assert_eq!(result.checker.expect("checker enabled").violations.total(), 0);
+    assert_eq!(
+        result.checker.expect("checker enabled").violations.total(),
+        0
+    );
 }
 
 /// The same squeeze without the injector: allocation-time fragmentation

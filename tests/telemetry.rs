@@ -2,9 +2,7 @@
 //! metrics reconciliation, zero-overhead-off bit-identity, exporter
 //! schemas, and the new windowed-sample fields.
 
-use seesaw_sim::{
-    runner::Plan, FaultConfig, L1DesignKind, RunConfig, RunResult, Sample, System,
-};
+use seesaw_sim::{runner::Plan, FaultConfig, L1DesignKind, RunConfig, RunResult, Sample, System};
 use seesaw_trace::json::Json;
 use seesaw_trace::jsonl::validate_jsonl;
 use seesaw_trace::{EventCounts, MetricValue};
@@ -107,8 +105,14 @@ fn events_reconcile_with_stats() {
     // as dropped.
     assert_eq!(c.total(), t.emitted());
     // And the registry snapshot carries the same counts.
-    assert_eq!(r.metrics.get_u64("trace.events.walk_ends"), Some(c.walk_ends));
-    assert_eq!(r.metrics.get_u64("trace.events.l1_misses"), Some(c.l1_misses));
+    assert_eq!(
+        r.metrics.get_u64("trace.events.walk_ends"),
+        Some(c.walk_ends)
+    );
+    assert_eq!(
+        r.metrics.get_u64("trace.events.l1_misses"),
+        Some(c.l1_misses)
+    );
 }
 
 /// Turning tracing on must not change the simulation: same cycles, same
@@ -118,7 +122,10 @@ fn events_reconcile_with_stats() {
 fn tracing_does_not_perturb_results() {
     let cfg = RunConfig::quick("astar").design(L1DesignKind::Seesaw);
     let off = System::build(&cfg).unwrap().run().unwrap();
-    let on = System::build(&cfg.clone().with_trace()).unwrap().run().unwrap();
+    let on = System::build(&cfg.clone().with_trace())
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(off.totals.cycles, on.totals.cycles);
     assert_eq!(off.totals.instructions, on.totals.instructions);
     assert_eq!(off.l1.misses, on.l1.misses);
@@ -167,7 +174,10 @@ fn chrome_trace_matches_golden_schema() {
 
     let mut phases: Vec<&str> = Vec::new();
     for e in events {
-        let ph = e.get("ph").and_then(Json::as_str).expect("every record has ph");
+        let ph = e
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("every record has ph");
         assert!(e.get("pid").and_then(Json::as_u64).is_some());
         assert!(e.get("name").and_then(Json::as_str).is_some());
         match ph {
@@ -183,7 +193,9 @@ fn chrome_trace_matches_golden_schema() {
                 assert!(e.get("ts").and_then(Json::as_u64).is_some());
                 assert!(e.get("dur").and_then(Json::as_u64).is_some());
                 assert_eq!(
-                    e.get("args").and_then(|a| a.get("memo")).and_then(Json::as_str),
+                    e.get("args")
+                        .and_then(|a| a.get("memo"))
+                        .and_then(Json::as_str),
                     Some("miss")
                 );
             }
@@ -196,7 +208,10 @@ fn chrome_trace_matches_golden_schema() {
         phases.push(ph);
     }
     assert!(phases.contains(&"M"));
-    assert!(phases.contains(&"i"), "duplicate cell must appear as memo-hit instant");
+    assert!(
+        phases.contains(&"i"),
+        "duplicate cell must appear as memo-hit instant"
+    );
     // The duplicated config simulates at most once, so at most one span —
     // and exactly one when this test ran it fresh (another test in this
     // process may have warmed the memo cache first).
@@ -223,9 +238,17 @@ fn per_core_events_reconcile_exactly() {
         let c = &t.per_core[core.core];
         assert_eq!(c.l1_hits, core.l1.hits, "core {}: l1 hits", core.core);
         assert_eq!(c.l1_misses, core.l1.misses, "core {}: l1 misses", core.core);
-        assert_eq!(c.ways_probed, core.l1.ways_probed, "core {}: ways", core.core);
+        assert_eq!(
+            c.ways_probed, core.l1.ways_probed,
+            "core {}: ways",
+            core.core
+        );
         assert_eq!(c.tft_hits, core.tft.hits, "core {}: tft hits", core.core);
-        assert_eq!(c.tft_misses, core.tft.misses, "core {}: tft misses", core.core);
+        assert_eq!(
+            c.tft_misses, core.tft.misses,
+            "core {}: tft misses",
+            core.core
+        );
         assert_eq!(c.walk_ends, core.walks, "core {}: walks", core.core);
         assert_eq!(
             c.coherence_probes, core.coherence_probes,
@@ -252,9 +275,7 @@ fn per_core_events_reconcile_exactly() {
         .expect("traceEvents array");
     let tracks: Vec<String> = events
         .iter()
-        .filter(|e| {
-            e.get("name").and_then(Json::as_str) == Some("thread_name")
-        })
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
         .filter_map(|e| {
             e.get("args")
                 .and_then(|a| a.get("name"))
