@@ -11,16 +11,19 @@
 //!
 //! * [`protocol`] — the MOESI state machine itself;
 //! * [`DirectoryController`] — a functional multi-core directory
-//!   (plus a snoopy broadcast variant) over real L1 cache arrays;
+//!   (plus a snoopy broadcast variant) over real L1 cache arrays. It is
+//!   a duplicate-tag directory: sharers are read from the mirrored L1
+//!   tag arrays, so its memory is bounded by cores × L1 lines;
 //! * [`CoherenceTraffic`] — a calibrated probe-rate generator, the
 //!   `cores = 1` fallback that models probes arriving from unsimulated
 //!   cores and from system-level activity.
 //!
 //! Multi-core runs drive [`DirectoryController::access`] with every
-//! reference; the [`Transaction`] it returns carries the
-//! [`ProbeDelivery`] list the simulator replays against the per-core
-//! timing L1s, so every probe originates from a real peer miss or
-//! upgrade rather than from the synthetic stream.
+//! reference; the [`Transaction`] it returns borrows the
+//! [`ProbeDelivery`] list (ascending target order, no allocation) the
+//! simulator replays against the per-core timing L1s, so every probe
+//! originates from a real peer miss or upgrade rather than from the
+//! synthetic stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Pre-merge gate (see ROADMAP.md): build, full test suite, lint-clean,
+# Pre-merge gate (see ROADMAP.md): formatting, build, full test suite, lint-clean,
 # and a deterministic fault-injected shadow-checker run. Every step must
 # pass before a change lands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt (check: the workspace is rustfmt-clean)"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace
