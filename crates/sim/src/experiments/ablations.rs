@@ -6,8 +6,9 @@
 use seesaw_core::InsertionPolicy;
 use seesaw_workloads::cloud_subset;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SimError, Table};
 
 /// One ablation data point.
@@ -32,36 +33,51 @@ fn cfg64(workload: &str, instructions: u64) -> RunConfig {
 }
 
 /// Queues one cell per workload from `make` (which may queue several
-/// plan cells and must return their indices), runs the plan, and maps
-/// each workload's indices to an [`AblationRow`] through `row`.
+/// plan cells and must return their indices) and returns the assembler
+/// that maps each workload's indices to an [`AblationRow`] through `row`.
 fn ablation<const N: usize>(
+    plan: &mut Plan,
     make: impl Fn(&mut Plan, &'static str) -> [usize; N],
     row: impl Fn([&crate::RunResult; N]) -> (f64, f64),
-) -> Result<Vec<AblationRow>, SimError> {
+) -> impl FnOnce(&PlanRun) -> Vec<AblationRow> {
     let workloads = cloud_subset();
-    let mut plan = Plan::new();
-    let cells: Vec<[usize; N]> = workloads.iter().map(|w| make(&mut plan, w.name)).collect();
-    let results = plan.run()?;
-    Ok(workloads
-        .iter()
-        .zip(cells)
-        .map(|(w, indices)| {
-            let (value_a, value_b) = row(indices.map(|i| &results[i]));
-            AblationRow {
-                workload: w.name,
-                value_a,
-                value_b,
-            }
-        })
-        .collect())
+    let cells: Vec<[usize; N]> = workloads.iter().map(|w| make(plan, w.name)).collect();
+    move |results| {
+        workloads
+            .iter()
+            .zip(cells)
+            .map(|(w, indices)| {
+                let (value_a, value_b) = row(indices.map(|i| &results[i]));
+                AblationRow {
+                    workload: w.name,
+                    value_a,
+                    value_b,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Pushes all five ablation grids, in the `ablations` binary's order.
+pub(super) fn ablations_grid(plan: &mut Plan, instructions: u64) {
+    drop(insertion_grid(plan, instructions));
+    drop(asid_flush_grid(plan, instructions));
+    drop(snoopy_grid(plan, instructions));
+    drop(area_control_grid(plan, instructions));
+    drop(prefetch_grid(plan, instructions));
 }
 
 /// §IV-B1: `4way` vs `4way-8way` insertion. The paper saw "only a 1%
 /// difference drop in hit rate with the 4way policy". Returns hit rates
 /// (percent) as `(four_way, four_eight_way)`.
 pub fn insertion_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimError> {
+    sweep(|plan| insertion_grid(plan, instructions))
+}
+
+fn insertion_grid(plan: &mut Plan, instructions: u64) -> impl FnOnce(&PlanRun) -> Vec<AblationRow> {
     ablation(
-        |plan, name| {
+        plan,
+        move |plan, name| {
             let four = plan.push(format!("{name}/4way"), cfg64(name, instructions));
             let mut cfg = cfg64(name, instructions);
             cfg.insertion = InsertionPolicy::FourWayEightWay;
@@ -82,8 +98,16 @@ pub fn insertion_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimErro
 /// 1 % of performance. Returns cycles as `(flushing, ideal)` normalized
 /// to the ideal (percent).
 pub fn asid_flush_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimError> {
+    sweep(|plan| asid_flush_grid(plan, instructions))
+}
+
+fn asid_flush_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<AblationRow> {
     ablation(
-        |plan, name| {
+        plan,
+        move |plan, name| {
             // Aggressive switching: every 100k instructions.
             let mut flushing_cfg = cfg64(name, instructions);
             flushing_cfg.context_switch_interval = Some(100_000);
@@ -106,8 +130,13 @@ pub fn asid_flush_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimErr
 /// savings grow by "an additional 2-5%" for multithreaded workloads.
 /// Returns energy savings (percent) as `(directory, snoopy)`.
 pub fn snoopy_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimError> {
+    sweep(|plan| snoopy_grid(plan, instructions))
+}
+
+fn snoopy_grid(plan: &mut Plan, instructions: u64) -> impl FnOnce(&PlanRun) -> Vec<AblationRow> {
     ablation(
-        |plan, name| {
+        plan,
+        move |plan, name| {
             let mut queue = |snoopy: bool, label: &str| {
                 let mut base_cfg = cfg64(name, instructions).design(L1DesignKind::BaselineVipt);
                 base_cfg.snoopy = snoopy;
@@ -137,8 +166,16 @@ pub fn snoopy_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimError> 
 /// less than 0.01% in all cases". Returns runtime improvement over the
 /// plain baseline (percent) as `(area_equivalent_baseline, seesaw)`.
 pub fn area_control(instructions: u64) -> Result<Vec<AblationRow>, SimError> {
+    sweep(|plan| area_control_grid(plan, instructions))
+}
+
+fn area_control_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<AblationRow> {
     ablation(
-        |plan, name| {
+        plan,
+        move |plan, name| {
             let base_cfg = cfg64(name, instructions).design(L1DesignKind::BaselineVipt);
             let base = plan.push(format!("{name}/base"), base_cfg.clone());
             // The TFT's 86 bytes buy roughly 8 more TLB entries.
@@ -163,8 +200,13 @@ pub fn area_control(instructions: u64) -> Result<Vec<AblationRow>, SimError> {
 /// a little: prefetching trims the miss stalls that dilute everything).
 /// Returns runtime improvement (percent) as `(no_prefetch, prefetch)`.
 pub fn prefetch_ablation(instructions: u64) -> Result<Vec<AblationRow>, SimError> {
+    sweep(|plan| prefetch_grid(plan, instructions))
+}
+
+fn prefetch_grid(plan: &mut Plan, instructions: u64) -> impl FnOnce(&PlanRun) -> Vec<AblationRow> {
     ablation(
-        |plan, name| {
+        plan,
+        move |plan, name| {
             let mut queue = |degree: Option<usize>, label: &str| {
                 let mut base_cfg = cfg64(name, instructions).design(L1DesignKind::BaselineVipt);
                 base_cfg.prefetch_degree = degree;

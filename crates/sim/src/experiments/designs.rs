@@ -9,8 +9,9 @@
 //! quantities a design review actually argues about: MPKI, energy, and
 //! measured average hit latency.
 
+use super::sweep;
 use crate::report::{num, pct};
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, RunResult, SimError, Table};
 
 /// The head-to-head roster: the paper's designs plus the alternatives
@@ -60,44 +61,52 @@ pub struct DesignRow {
 /// 1.33 GHz on the out-of-order core, Fig. 15's conditions) in a single
 /// plan and scores every design against the shared baseline.
 pub fn designs(workload: &'static str, instructions: u64) -> Result<Vec<DesignRow>, SimError> {
+    sweep(|plan| designs_grid(plan, workload, instructions))
+}
+
+pub(super) fn designs_grid(
+    plan: &mut Plan,
+    workload: &'static str,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<DesignRow> {
     let base_cfg = RunConfig::paper(workload)
         .l1_size(64)
         .frequency(Frequency::F1_33)
         .cpu(CpuKind::OutOfOrder)
         .instructions(instructions);
-    let mut plan = Plan::new();
     let cells: Vec<usize> = DESIGN_LAB
         .iter()
         .map(|(name, kind)| plan.push(format!("{workload}/{name}"), base_cfg.clone().design(*kind)))
         .collect();
-    let results = plan.run()?;
-    let base = &results[cells[0]];
-    Ok(DESIGN_LAB
-        .iter()
-        .zip(cells.iter())
-        .map(|((name, _), &cell)| {
-            let r = &results[cell];
-            DesignRow {
-                design: name,
-                mpki: r.l1_mpki,
-                perf: r.runtime_improvement_pct(base),
-                energy: r.energy_savings_pct(base),
-                hit_latency: r
-                    .metrics
-                    .get_f64("l1.avg_hit_latency_cycles")
-                    .unwrap_or(0.0),
-                ways_per_access: {
-                    let accesses = r.l1.hits + r.l1.misses;
-                    if accesses == 0 {
-                        0.0
-                    } else {
-                        r.l1.ways_probed as f64 / accesses as f64
-                    }
-                },
-                wp_accuracy: r.way_prediction_accuracy,
-            }
-        })
-        .collect())
+    move |results| {
+        let base = &results[cells[0]];
+        DESIGN_LAB
+            .iter()
+            .zip(cells.iter())
+            .map(|((name, _), &cell)| {
+                let r = &results[cell];
+                DesignRow {
+                    design: name,
+                    mpki: r.l1_mpki,
+                    perf: r.runtime_improvement_pct(base),
+                    energy: r.energy_savings_pct(base),
+                    hit_latency: r
+                        .metrics
+                        .get_f64("l1.avg_hit_latency_cycles")
+                        .unwrap_or(0.0),
+                    ways_per_access: {
+                        let accesses = r.l1.hits + r.l1.misses;
+                        if accesses == 0 {
+                            0.0
+                        } else {
+                            r.l1.ways_probed as f64 / accesses as f64
+                        }
+                    },
+                    wp_accuracy: r.way_prediction_accuracy,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Renders the rows.

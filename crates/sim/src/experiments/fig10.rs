@@ -4,11 +4,12 @@
 use seesaw_workloads::catalog;
 
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::stats::Summary;
 use crate::{CpuKind, Frequency, L1DesignKind, SimError, Table};
 
 use super::fig7::{runtime_cfg, SIZES_KB};
+use super::sweep;
 
 /// One Fig. 10 bar: energy savings summary for a core × size × frequency.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,8 +62,14 @@ pub(crate) fn energy_saving(
 /// core × frequency × size × workload grid; the baseline/SEESAW pairs it
 /// shares with Figs. 7–9 are memoized, not re-run.
 pub fn fig10(instructions: u64) -> Result<Vec<Fig10Row>, SimError> {
+    sweep(|plan| fig10_grid(plan, instructions))
+}
+
+pub(super) fn fig10_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig10Row> {
     let workloads = catalog();
-    let mut plan = Plan::new();
     let mut cells = Vec::new();
     for (cpu, core) in [(CpuKind::InOrder, "InO"), (CpuKind::OutOfOrder, "OOO")] {
         for freq in Frequency::ALL {
@@ -84,29 +91,36 @@ pub fn fig10(instructions: u64) -> Result<Vec<Fig10Row>, SimError> {
             }
         }
     }
-    let results = plan.run()?;
-    Ok(cells
-        .into_iter()
-        .map(|(core, freq, size_kb, pairs)| {
-            let savings: Vec<f64> = pairs
-                .into_iter()
-                .map(|(base, seesaw)| results[seesaw].energy_savings_pct(&results[base]))
-                .collect();
-            Fig10Row {
-                core,
-                freq: freq.label(),
-                size_kb,
-                summary: Summary::of(&savings),
-            }
-        })
-        .collect())
+    move |results| {
+        cells
+            .into_iter()
+            .map(|(core, freq, size_kb, pairs)| {
+                let savings: Vec<f64> = pairs
+                    .into_iter()
+                    .map(|(base, seesaw)| results[seesaw].energy_savings_pct(&results[base]))
+                    .collect();
+                Fig10Row {
+                    core,
+                    freq: freq.label(),
+                    size_kb,
+                    summary: Summary::of(&savings),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Fig. 11: per-workload CPU-side vs coherence shares (64 KB, 1.33 GHz,
 /// out-of-order — the paper's configuration).
 pub fn fig11(instructions: u64) -> Result<Vec<Fig11Row>, SimError> {
+    sweep(|plan| fig11_grid(plan, instructions))
+}
+
+pub(super) fn fig11_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig11Row> {
     let workloads = catalog();
-    let mut plan = Plan::new();
     let pairs: Vec<(usize, usize)> = workloads
         .iter()
         .map(|w| {
@@ -125,20 +139,21 @@ pub fn fig11(instructions: u64) -> Result<Vec<Fig11Row>, SimError> {
             (base, seesaw)
         })
         .collect();
-    let results = plan.run()?;
-    Ok(workloads
-        .iter()
-        .zip(pairs)
-        .map(|(w, (base, seesaw))| {
-            let (cpu_share, coherence_share) =
-                results[seesaw].energy.savings_split(&results[base].energy);
-            Fig11Row {
-                workload: w.name,
-                cpu_share,
-                coherence_share,
-            }
-        })
-        .collect())
+    move |results| {
+        workloads
+            .iter()
+            .zip(pairs)
+            .map(|(w, (base, seesaw))| {
+                let (cpu_share, coherence_share) =
+                    results[seesaw].energy.savings_split(&results[base].energy);
+                Fig11Row {
+                    workload: w.name,
+                    cpu_share,
+                    coherence_share,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Renders Fig. 10.

@@ -3,8 +3,9 @@
 
 use seesaw_workloads::fig12_subset;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SimError, Table};
 
 /// memhog pressures of Fig. 12.
@@ -29,7 +30,13 @@ pub struct Fig12Row {
 /// Runs the fragmentation sweep as one plan (workload × memhog ×
 /// {baseline, SEESAW}).
 pub fn fig12(instructions: u64) -> Result<Vec<Fig12Row>, SimError> {
-    let mut plan = Plan::new();
+    sweep(|plan| fig12_grid(plan, instructions))
+}
+
+pub(super) fn fig12_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig12Row> {
     let mut cells = Vec::new();
     for spec in fig12_subset() {
         for &memhog in &FIG12_MEMHOG {
@@ -47,17 +54,18 @@ pub fn fig12(instructions: u64) -> Result<Vec<Fig12Row>, SimError> {
             cells.push((spec.name, memhog, base, seesaw));
         }
     }
-    let results = plan.run()?;
-    Ok(cells
-        .into_iter()
-        .map(|(workload, memhog, base, seesaw)| Fig12Row {
-            workload,
-            memhog,
-            perf_pct: results[seesaw].runtime_improvement_pct(&results[base]),
-            energy_pct: results[seesaw].energy_savings_pct(&results[base]),
-            coverage: results[seesaw].superpage_coverage,
-        })
-        .collect())
+    move |results| {
+        cells
+            .into_iter()
+            .map(|(workload, memhog, base, seesaw)| Fig12Row {
+                workload,
+                memhog,
+                perf_pct: results[seesaw].runtime_improvement_pct(&results[base]),
+                energy_pct: results[seesaw].energy_savings_pct(&results[base]),
+                coverage: results[seesaw].superpage_coverage,
+            })
+            .collect()
+    }
 }
 
 /// Renders the rows grouped like the paper's figure (mh0/mh30/mh60 per

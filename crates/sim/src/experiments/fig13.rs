@@ -4,8 +4,9 @@
 
 use seesaw_workloads::catalog;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::stats::Summary;
 use crate::{L1DesignKind, RunConfig, SimError, Table};
 
@@ -30,8 +31,14 @@ pub struct Fig13Row {
 /// Runs the TFT sweep as one plan over the full
 /// TFT-size × cache-size × workload grid.
 pub fn fig13(instructions: u64) -> Result<Vec<Fig13Row>, SimError> {
+    sweep(|plan| fig13_grid(plan, instructions))
+}
+
+pub(super) fn fig13_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig13Row> {
     let workloads = catalog();
-    let mut plan = Plan::new();
     let mut cells = Vec::new();
     for &tft_entries in &FIG13_TFT_ENTRIES {
         for &size_kb in &[32u64, 64, 128] {
@@ -49,10 +56,9 @@ pub fn fig13(instructions: u64) -> Result<Vec<Fig13Row>, SimError> {
             cells.push((tft_entries, size_kb, indices));
         }
     }
-    let results = plan.run()?;
-    let mut rows = Vec::new();
-    for (tft_entries, size_kb, indices) in cells {
-        {
+    move |results| {
+        let mut rows = Vec::new();
+        for (tft_entries, size_kb, indices) in cells {
             let mut hit_fracs = Vec::new();
             let mut miss_fracs = Vec::new();
             for idx in indices {
@@ -75,8 +81,8 @@ pub fn fig13(instructions: u64) -> Result<Vec<Fig13Row>, SimError> {
                 miss_l1_miss: Summary::of(&miss_fracs),
             });
         }
+        rows
     }
-    Ok(rows)
 }
 
 /// Renders the rows.

@@ -4,8 +4,9 @@
 
 use seesaw_workloads::catalog;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::stats::Summary;
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SimError, Table};
 
@@ -48,8 +49,14 @@ fn alternatives() -> Vec<(String, L1DesignKind, Option<usize>)> {
 /// cells — is one plan; the best-alternative selection happens on the
 /// collected results.
 pub fn fig14(instructions: u64) -> Result<Vec<Fig14Row>, SimError> {
+    sweep(|plan| fig14_grid(plan, instructions))
+}
+
+pub(super) fn fig14_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig14Row> {
     let workloads = catalog();
-    let mut plan = Plan::new();
     // Per frequency: baseline indices, SEESAW indices, and per-alternative
     // indices, one per workload.
     let mut cells = Vec::new();
@@ -85,46 +92,46 @@ pub fn fig14(instructions: u64) -> Result<Vec<Fig14Row>, SimError> {
             .collect();
         cells.push((freq, baselines, seesaw, alts));
     }
-    let results = plan.run()?;
-
-    let mut rows = Vec::new();
-    for (freq, baselines, seesaw, alts) in cells {
-        let eval = |indices: &[usize]| -> (Vec<f64>, Vec<f64>) {
-            indices
-                .iter()
-                .zip(&baselines)
-                .map(|(&i, &b)| {
-                    (
-                        results[i].runtime_improvement_pct(&results[b]),
-                        results[i].energy_savings_pct(&results[b]),
-                    )
-                })
-                .unzip()
-        };
-        let (seesaw_perf, seesaw_energy) = eval(&seesaw);
-        let mut best: Option<(String, Vec<f64>, Vec<f64>)> = None;
-        for (name, indices) in alts {
-            let (perf, energy) = eval(&indices);
-            let mean = perf.iter().sum::<f64>() / perf.len() as f64;
-            let better = best
-                .as_ref()
-                .map(|(_, p, _)| mean > p.iter().sum::<f64>() / p.len() as f64)
-                .unwrap_or(true);
-            if better {
-                best = Some((name, perf, energy));
+    move |results| {
+        let mut rows = Vec::new();
+        for (freq, baselines, seesaw, alts) in cells {
+            let eval = |indices: &[usize]| -> (Vec<f64>, Vec<f64>) {
+                indices
+                    .iter()
+                    .zip(&baselines)
+                    .map(|(&i, &b)| {
+                        (
+                            results[i].runtime_improvement_pct(&results[b]),
+                            results[i].energy_savings_pct(&results[b]),
+                        )
+                    })
+                    .unzip()
+            };
+            let (seesaw_perf, seesaw_energy) = eval(&seesaw);
+            let mut best: Option<(String, Vec<f64>, Vec<f64>)> = None;
+            for (name, indices) in alts {
+                let (perf, energy) = eval(&indices);
+                let mean = perf.iter().sum::<f64>() / perf.len() as f64;
+                let better = best
+                    .as_ref()
+                    .map(|(_, p, _)| mean > p.iter().sum::<f64>() / p.len() as f64)
+                    .unwrap_or(true);
+                if better {
+                    best = Some((name, perf, energy));
+                }
             }
+            let (best_other, others_perf, others_energy) = best.expect("non-empty alternatives");
+            rows.push(Fig14Row {
+                freq: freq.label(),
+                seesaw_perf: Summary::of(&seesaw_perf),
+                others_perf: Summary::of(&others_perf),
+                seesaw_energy: Summary::of(&seesaw_energy),
+                others_energy: Summary::of(&others_energy),
+                best_other,
+            });
         }
-        let (best_other, others_perf, others_energy) = best.expect("non-empty alternatives");
-        rows.push(Fig14Row {
-            freq: freq.label(),
-            seesaw_perf: Summary::of(&seesaw_perf),
-            others_perf: Summary::of(&others_perf),
-            seesaw_energy: Summary::of(&seesaw_energy),
-            others_energy: Summary::of(&others_energy),
-            best_other,
-        });
+        rows
     }
-    Ok(rows)
 }
 
 /// Renders the rows.

@@ -3,8 +3,9 @@
 
 use seesaw_workloads::cloud_subset;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SimError, Table};
 
 /// One workload's three-design comparison.
@@ -31,8 +32,14 @@ pub struct Fig15Row {
 /// Runs the three designs against the shared baseline, all four cells per
 /// workload in one plan.
 pub fn fig15(instructions: u64) -> Result<Vec<Fig15Row>, SimError> {
+    sweep(|plan| fig15_grid(plan, instructions))
+}
+
+pub(super) fn fig15_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig15Row> {
     let workloads = cloud_subset();
-    let mut plan = Plan::new();
     let cells: Vec<[usize; 4]> = workloads
         .iter()
         .map(|w| {
@@ -54,27 +61,28 @@ pub fn fig15(instructions: u64) -> Result<Vec<Fig15Row>, SimError> {
             [base, wp, seesaw, combined]
         })
         .collect();
-    let results = plan.run()?;
-    Ok(workloads
-        .iter()
-        .zip(cells)
-        .map(|(w, [base, wp, seesaw, combined])| {
-            let base = &results[base];
-            let wp = &results[wp];
-            let seesaw = &results[seesaw];
-            let combined = &results[combined];
-            Fig15Row {
-                workload: w.name,
-                wp_perf: wp.runtime_improvement_pct(base),
-                wp_energy: wp.energy_savings_pct(base),
-                seesaw_perf: seesaw.runtime_improvement_pct(base),
-                seesaw_energy: seesaw.energy_savings_pct(base),
-                combined_perf: combined.runtime_improvement_pct(base),
-                combined_energy: combined.energy_savings_pct(base),
-                wp_accuracy: wp.way_prediction_accuracy.unwrap_or(0.0),
-            }
-        })
-        .collect())
+    move |results| {
+        workloads
+            .iter()
+            .zip(cells)
+            .map(|(w, [base, wp, seesaw, combined])| {
+                let base = &results[base];
+                let wp = &results[wp];
+                let seesaw = &results[seesaw];
+                let combined = &results[combined];
+                Fig15Row {
+                    workload: w.name,
+                    wp_perf: wp.runtime_improvement_pct(base),
+                    wp_energy: wp.energy_savings_pct(base),
+                    seesaw_perf: seesaw.runtime_improvement_pct(base),
+                    seesaw_energy: seesaw.energy_savings_pct(base),
+                    combined_perf: combined.runtime_improvement_pct(base),
+                    combined_energy: combined.energy_savings_pct(base),
+                    wp_accuracy: wp.way_prediction_accuracy.unwrap_or(0.0),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Renders the rows.

@@ -2,8 +2,9 @@
 
 use seesaw_workloads::catalog;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::stats::Summary;
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SimError, Table};
 
@@ -74,7 +75,13 @@ pub(crate) fn improvement(
 /// every cell runs concurrently and the baselines are shared with any
 /// other figure at the same geometry.
 pub fn fig7(instructions: u64) -> Result<Vec<Fig7Row>, SimError> {
-    let mut plan = Plan::new();
+    sweep(|plan| fig7_grid(plan, instructions))
+}
+
+pub(super) fn fig7_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<Fig7Row> {
     let mut cells = Vec::new();
     for spec in catalog() {
         for &size_kb in &SIZES_KB {
@@ -96,31 +103,35 @@ pub fn fig7(instructions: u64) -> Result<Vec<Fig7Row>, SimError> {
             cells.push((spec.name, size_kb, base, seesaw));
         }
     }
-    let results = plan.run()?;
-    Ok(cells
-        .into_iter()
-        .map(|(workload, size_kb, base, seesaw)| Fig7Row {
-            workload,
-            size_kb,
-            improvement_pct: results[seesaw].runtime_improvement_pct(&results[base]),
-        })
-        .collect())
+    move |results| {
+        cells
+            .into_iter()
+            .map(|(workload, size_kb, base, seesaw)| Fig7Row {
+                workload,
+                size_kb,
+                improvement_pct: results[seesaw].runtime_improvement_pct(&results[base]),
+            })
+            .collect()
+    }
 }
 
 /// Fig. 8: frequency sweep on the out-of-order core (avg/min/max over all
 /// workloads per size × frequency).
 pub fn fig8(instructions: u64) -> Result<Vec<FreqSweepRow>, SimError> {
-    freq_sweep(CpuKind::OutOfOrder, instructions)
+    sweep(|plan| freq_sweep_grid(plan, CpuKind::OutOfOrder, instructions))
 }
 
 /// Fig. 9: the same sweep on the in-order core (gains are higher).
 pub fn fig9(instructions: u64) -> Result<Vec<FreqSweepRow>, SimError> {
-    freq_sweep(CpuKind::InOrder, instructions)
+    sweep(|plan| freq_sweep_grid(plan, CpuKind::InOrder, instructions))
 }
 
-fn freq_sweep(cpu: CpuKind, instructions: u64) -> Result<Vec<FreqSweepRow>, SimError> {
+pub(super) fn freq_sweep_grid(
+    plan: &mut Plan,
+    cpu: CpuKind,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<FreqSweepRow> {
     let workloads = catalog();
-    let mut plan = Plan::new();
     let mut cells = Vec::new();
     for freq in Frequency::ALL {
         for &size_kb in &SIZES_KB {
@@ -140,21 +151,22 @@ fn freq_sweep(cpu: CpuKind, instructions: u64) -> Result<Vec<FreqSweepRow>, SimE
             cells.push((freq, size_kb, pairs));
         }
     }
-    let results = plan.run()?;
-    Ok(cells
-        .into_iter()
-        .map(|(freq, size_kb, pairs)| {
-            let improvements: Vec<f64> = pairs
-                .into_iter()
-                .map(|(base, seesaw)| results[seesaw].runtime_improvement_pct(&results[base]))
-                .collect();
-            FreqSweepRow {
-                freq: freq.label(),
-                size_kb,
-                summary: Summary::of(&improvements),
-            }
-        })
-        .collect())
+    move |results| {
+        cells
+            .into_iter()
+            .map(|(freq, size_kb, pairs)| {
+                let improvements: Vec<f64> = pairs
+                    .into_iter()
+                    .map(|(base, seesaw)| results[seesaw].runtime_improvement_pct(&results[base]))
+                    .collect();
+                FreqSweepRow {
+                    freq: freq.label(),
+                    size_kb,
+                    summary: Summary::of(&improvements),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Renders Fig. 7 rows (workloads × sizes).

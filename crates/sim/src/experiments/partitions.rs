@@ -9,8 +9,9 @@
 
 use seesaw_energy::SramModel;
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SimError, Table};
 
 /// One partition-size data point.
@@ -33,15 +34,20 @@ pub struct PartitionRow {
 /// Sweeps ways-per-partition on the 64 KB, 16-way geometry for one
 /// representative workload (redis, out-of-order, 1.33 GHz).
 pub fn partition_ablation(instructions: u64) -> Result<Vec<PartitionRow>, SimError> {
-    let sram = SramModel::tsmc28_scaled_22nm();
+    sweep(|plan| partition_grid(plan, instructions))
+}
+
+pub(super) fn partition_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<PartitionRow> {
     let base_cfg = RunConfig::paper("redis")
         .l1_size(64)
         .frequency(Frequency::F1_33)
         .cpu(CpuKind::OutOfOrder)
         .instructions(instructions);
-    let mut plan = Plan::new();
     let baseline = plan.push("redis/base", base_cfg.clone());
-    let sweep: Vec<(usize, usize, usize)> = [2usize, 4, 8]
+    let points: Vec<(usize, usize, usize)> = [2usize, 4, 8]
         .into_iter()
         .map(|ways_per_partition| {
             let partitions = 16 / ways_per_partition;
@@ -51,23 +57,24 @@ pub fn partition_ablation(instructions: u64) -> Result<Vec<PartitionRow>, SimErr
             (ways_per_partition, partitions, idx)
         })
         .collect();
-    let results = plan.run()?;
-    let baseline = &results[baseline];
-
-    Ok(sweep
-        .into_iter()
-        .map(|(ways_per_partition, partitions, idx)| {
-            let r = &results[idx];
-            PartitionRow {
-                ways_per_partition,
-                partitions,
-                fast_cycles: sram.partition_lookup_cycles(64, 16, partitions, 1.33),
-                perf_pct: r.runtime_improvement_pct(baseline),
-                energy_pct: r.energy_savings_pct(baseline),
-                mpki: r.l1_mpki,
-            }
-        })
-        .collect())
+    move |results| {
+        let sram = SramModel::tsmc28_scaled_22nm();
+        let baseline = &results[baseline];
+        points
+            .into_iter()
+            .map(|(ways_per_partition, partitions, idx)| {
+                let r = &results[idx];
+                PartitionRow {
+                    ways_per_partition,
+                    partitions,
+                    fast_cycles: sram.partition_lookup_cycles(64, 16, partitions, 1.33),
+                    perf_pct: r.runtime_improvement_pct(baseline),
+                    energy_pct: r.energy_savings_pct(baseline),
+                    mpki: r.l1_mpki,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Renders the sweep.

@@ -10,8 +10,9 @@
 //! memhog pressure (controlling how many base pages the workload sees),
 //! for the three policies.
 
+use super::sweep;
 use crate::report::pct;
-use crate::runner::Plan;
+use crate::runner::{Plan, PlanRun};
 use crate::{CpuKind, Frequency, L1DesignKind, RunConfig, SchedulerHintPolicy, SimError, Table};
 
 /// One cell of the sweep.
@@ -39,7 +40,13 @@ pub const MEMHOG_LEVELS: [u32; 2] = [0, 60];
 /// every policy × squash cell — the baseline is hoisted out of the inner
 /// loops entirely and shared through the plan.
 pub fn scheduler_ablation(instructions: u64) -> Result<Vec<SchedulerRow>, SimError> {
-    let mut plan = Plan::new();
+    sweep(|plan| scheduler_grid(plan, instructions))
+}
+
+pub(super) fn scheduler_grid(
+    plan: &mut Plan,
+    instructions: u64,
+) -> impl FnOnce(&PlanRun) -> Vec<SchedulerRow> {
     let mut cells = Vec::new();
     for &memhog in &MEMHOG_LEVELS {
         let base_cfg = RunConfig::paper("redis")
@@ -66,18 +73,19 @@ pub fn scheduler_ablation(instructions: u64) -> Result<Vec<SchedulerRow>, SimErr
             }
         }
     }
-    let results = plan.run()?;
-    Ok(cells
-        .into_iter()
-        .map(
-            |(policy, squash_cycles, memhog, baseline, idx)| SchedulerRow {
-                policy,
-                squash_cycles,
-                memhog,
-                improvement_pct: results[idx].runtime_improvement_pct(&results[baseline]),
-            },
-        )
-        .collect())
+    move |results| {
+        cells
+            .into_iter()
+            .map(
+                |(policy, squash_cycles, memhog, baseline, idx)| SchedulerRow {
+                    policy,
+                    squash_cycles,
+                    memhog,
+                    improvement_pct: results[idx].runtime_improvement_pct(&results[baseline]),
+                },
+            )
+            .collect()
+    }
 }
 
 /// Renders the sweep.

@@ -413,42 +413,25 @@ impl SupervisorTally {
     }
 }
 
-/// Counters of supervised cell execution, exported under the
-/// `supervisor.*` namespace. [`SweepReport::supervisor`] carries one
-/// plan's tally; [`supervisor_stats`] the process-wide accumulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Cells executed under supervision (not counting retries).
-    pub cells: u64,
-    /// Panics isolated by `catch_unwind` across all attempts.
-    pub panics_caught: u64,
-    /// Watchdog expirations across all attempts.
-    pub timeouts: u64,
-    /// Retry attempts granted (each preceded by a backoff sleep).
-    pub retries: u64,
-    /// Cells whose final outcome was a permanent failure.
-    pub permanent_failures: u64,
-    /// Cells never started because the sweep's failure budget
-    /// ([`SweepPolicy::max_failures`]) was already exhausted.
-    pub cells_skipped: u64,
-}
-
-impl Collect for SupervisorStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let SupervisorStats {
-            cells,
-            panics_caught,
-            timeouts,
-            retries,
-            permanent_failures,
-            cells_skipped,
-        } = *self;
-        out.set_u64(&format!("{prefix}.cells"), cells);
-        out.set_u64(&format!("{prefix}.panics_caught"), panics_caught);
-        out.set_u64(&format!("{prefix}.timeouts"), timeouts);
-        out.set_u64(&format!("{prefix}.retries"), retries);
-        out.set_u64(&format!("{prefix}.permanent_failures"), permanent_failures);
-        out.set_u64(&format!("{prefix}.cells_skipped"), cells_skipped);
+seesaw_trace::counters! {
+    /// Counters of supervised cell execution, exported under the
+    /// `supervisor.*` namespace. [`SweepReport::supervisor`] carries one
+    /// plan's tally; [`supervisor_stats`] the process-wide accumulation.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SupervisorStats {
+        /// Cells executed under supervision (not counting retries).
+        pub cells: u64,
+        /// Panics isolated by `catch_unwind` across all attempts.
+        pub panics_caught: u64,
+        /// Watchdog expirations across all attempts.
+        pub timeouts: u64,
+        /// Retry attempts granted (each preceded by a backoff sleep).
+        pub retries: u64,
+        /// Cells whose final outcome was a permanent failure.
+        pub permanent_failures: u64,
+        /// Cells never started because the sweep's failure budget
+        /// ([`SweepPolicy::max_failures`]) was already exhausted.
+        pub cells_skipped: u64,
     }
 }
 
@@ -464,13 +447,10 @@ pub fn supervisor_stats() -> SupervisorStats {
 }
 
 fn fold_supervisor_totals(delta: SupervisorStats) {
-    let mut t = supervisor_totals().lock().expect("supervisor lock");
-    t.cells += delta.cells;
-    t.panics_caught += delta.panics_caught;
-    t.timeouts += delta.timeouts;
-    t.retries += delta.retries;
-    t.permanent_failures += delta.permanent_failures;
-    t.cells_skipped += delta.cells_skipped;
+    supervisor_totals()
+        .lock()
+        .expect("supervisor lock")
+        .merge(&delta);
 }
 
 static SESSION_OPS: OnceLock<Mutex<OpsSweepStats>> = OnceLock::new();
@@ -689,8 +669,11 @@ enum StatusMode {
 ///
 /// Drivers push one cell per `System::build(..)?.run()?` they need,
 /// remember the returned indices, call [`Plan::run`] once, and assemble
-/// their rows from the ordered results. See the module docs for the
-/// execution, memoization, persistence, and supervision model.
+/// their rows from the ordered results. A figure driver's grid function
+/// does the pushing, so [`crate::experiments::plan_cells`] can take the
+/// same cells unrun through [`Plan::into_cells`] for `seesaw-submit`.
+/// See the module docs for the execution, memoization, persistence, and
+/// supervision model.
 #[derive(Debug, Default)]
 pub struct Plan {
     cells: Vec<(String, RunConfig)>,
@@ -782,6 +765,11 @@ impl Plan {
     /// Whether the plan holds no cells.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
+    }
+
+    /// The queued `(label, config)` cells in push order, unrun.
+    pub fn into_cells(self) -> Vec<(String, RunConfig)> {
+        self.cells
     }
 
     /// Executes every cell — distinct configurations in parallel, each
@@ -1432,14 +1420,13 @@ mod tests {
         let mut plan = Plan::with_threads(2);
         let a = plan.push("first", cfg.clone());
         let b = plan.push("second", cfg.clone());
-        let before = memo_stats();
         let results = plan.run().unwrap();
-        let after = memo_stats();
         assert_eq!(results[a].totals.cycles, results[b].totals.cycles);
         // At most one fresh simulation for the pair; the sibling cell is
         // a hit (the config itself may already be cached process-wide).
-        assert!(after.misses - before.misses <= 1);
-        assert!(after.hits - before.hits >= 1);
+        // The plan-local counters are immune to sibling tests' plans.
+        assert!(results.memo.misses <= 1);
+        assert!(results.memo.hits >= 1);
     }
 
     #[test]
@@ -1510,13 +1497,11 @@ mod tests {
         assert_eq!(out.journal.len(), 2);
 
         // The failure is memoized: a second plan serves it from cache.
-        let before = memo_stats();
         let mut plan = Plan::with_threads(2);
         plan.push("bad again", bad.clone());
         let again = plan.run_each();
-        let after = memo_stats();
         assert!(matches!(again.outcomes[0], Err(SimError::Check(_))));
-        assert_eq!(after.misses, before.misses, "cached failure re-simulated");
+        assert_eq!(again.memo.misses, 0, "cached failure re-simulated");
 
         // `run()` surfaces the same error for the earliest failing cell.
         let mut plan = Plan::with_threads(2);

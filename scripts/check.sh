@@ -81,6 +81,12 @@ for worker_prom in "$trace_dir"/worker-*.prom; do
   ./target/release/seesaw-status --check-prom "$worker_prom"
 done
 
+echo "==> results/ current: the cheap drivers at 800k reproduce their committed output byte for byte"
+for bin in table1 table2 table3 fig2b fig2c fig3 fig11 fig15 scheduler partitions ext_1gb \
+           ext_icache multicore; do
+  env -u SEESAW_STORE -u SEESAW_TRACE ./target/release/"$bin" 800000 | cmp - "results/$bin.txt"
+done
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
