@@ -147,7 +147,7 @@ fn write_worker_prom(id: &str, stats: &seesaw_trace::FabricWorkerStats) {
         eprintln!("error: writing {}: {e}", path.display());
         std::process::exit(1);
     }
-    println!(
+    eprintln!(
         "[trace] wrote {} ({} metrics)",
         path.display(),
         registry.len()

@@ -31,22 +31,24 @@ pub fn ok_or_exit<T>(result: Result<T, seesaw_sim::SimError>) -> T {
     })
 }
 
-/// Prints the process-wide memo-cache counters. Sweep binaries call this
-/// last, so the output (and `scripts/bench.sh`, which scrapes it) shows
-/// how many grid cells the content-addressed cache deduplicated. When the
-/// persistent store (`SEESAW_STORE`) is active, or any supervised cell
-/// panicked / timed out / was retried, the matching `[store]` and
-/// `[supervisor]` lines follow.
+/// Prints the process-wide memo-cache counters to stderr. Sweep binaries
+/// call this last, so the run's log (and `scripts/bench.sh`, which
+/// scrapes it) shows how many grid cells the content-addressed cache
+/// deduplicated, while stdout stays the figure alone. When the persistent
+/// store (`SEESAW_STORE`) is active, or any supervised cell panicked /
+/// timed out / was retried, the matching `[store]` and `[supervisor]`
+/// lines follow.
 pub fn print_memo_stats() {
     // One structured emitter owns these lines now (`OpsSummary`); the
     // `[memo]` / `[store]` shapes are scraped by `scripts/bench.sh`, so
     // its renderer pins them with a test.
-    println!("{}", seesaw_sim::OpsSummary::process().render());
+    eprintln!("{}", seesaw_sim::OpsSummary::process().render());
 }
 
 /// Standard sweep-binary epilogue: prints the memo counters, and — when
 /// the `SEESAW_TRACE` environment variable is set — writes the process's
-/// telemetry artifacts under that directory (empty value: `target/trace`):
+/// telemetry artifacts under that directory (empty value: `target/trace`)
+/// and reports each on a `[trace]` stderr line:
 ///
 /// * `{name}.chrome.json` — the plan journal as a Chrome `trace_event`
 ///   document (worker threads as tracks, cells as spans, memo hits as
@@ -78,7 +80,7 @@ pub fn finish(name: &str) {
         eprintln!("error: writing {}: {e}", chrome_path.display());
         std::process::exit(1);
     }
-    println!(
+    eprintln!(
         "[trace] wrote {} ({} plan cells)",
         chrome_path.display(),
         seesaw_sim::runner::session_journal().len()
@@ -108,7 +110,7 @@ pub fn finish(name: &str) {
         eprintln!("error: writing {}: {e}", jsonl_path.display());
         std::process::exit(1);
     }
-    println!(
+    eprintln!(
         "[trace] wrote {} ({} events, {} dropped from ring)",
         jsonl_path.display(),
         trace.events.len(),
@@ -159,7 +161,7 @@ pub fn finish(name: &str) {
         eprintln!("error: writing {}: {e}", csv_path.display());
         std::process::exit(1);
     }
-    println!(
+    eprintln!(
         "[trace] wrote {} ({} metrics) and {}",
         prom_path.display(),
         registry.len(),

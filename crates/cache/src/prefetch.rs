@@ -24,8 +24,6 @@ seesaw_trace::counters! {
     pub struct PrefetchStats {
         /// Prefetches issued.
         pub issued: u64,
-        /// Demand accesses that hit a prefetched line before eviction.
-        pub useful: u64,
     }
 }
 
@@ -118,11 +116,6 @@ impl StreamPrefetcher {
             }
             None => Vec::new(),
         }
-    }
-
-    /// Records that a prefetched line was hit by demand.
-    pub fn record_useful(&mut self) {
-        self.stats.useful += 1;
     }
 
     /// Prefetch counters.

@@ -2,16 +2,18 @@
 //! checker run emits.
 //!
 //! A bundle pins down everything a second process needs to reproduce a
-//! violation bit-identically: the full run configuration (as an opaque
-//! key/value map owned by the simulator's codec — this crate cannot
-//! depend on `seesaw-sim`), the injector configuration with its seed,
-//! optional explicit [`FaultSchedule`]s (the shrinker's output), the
-//! fault points that actually fired, the violation summary, the tail of
-//! the traced event stream, and provenance (git SHA, config
-//! fingerprint). The JSON codec is hand-rolled against the workspace's
-//! own validating parser; 64-bit values that can exceed 2^53 (seeds, RNG
-//! snapshots) are hex-encoded strings so nothing is lost to the parser's
-//! f64 number representation.
+//! violation bit-identically: the full run configuration (as the opaque
+//! one-line encoding the simulator's `RunConfig` schema owns — this
+//! crate cannot depend on `seesaw-sim`), the injector configuration with
+//! its seed, optional explicit [`FaultSchedule`]s (the shrinker's
+//! output), the fault points that actually fired, the violation summary,
+//! the tail of the traced event stream, and provenance (git SHA). The
+//! JSON codec is hand-rolled against the workspace's own validating
+//! parser; 64-bit values that can exceed 2^53 (seeds, RNG snapshots) are
+//! hex-encoded strings so nothing is lost to the parser's f64 number
+//! representation. [`FaultConfig::to_json`] and [`FaultSchedule::to_json`]
+//! are the only encoders of those two types: the simulator's
+//! configuration encoding embeds them too.
 
 use seesaw_trace::json::{escape, Json};
 
@@ -20,7 +22,7 @@ use crate::inject::{
 };
 
 /// Current bundle format version.
-pub const BUNDLE_VERSION: u32 = 1;
+pub const BUNDLE_VERSION: u32 = 2;
 
 /// A malformed or unsupported bundle document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,9 +81,6 @@ pub struct ReproBundle {
     pub version: u32,
     /// Git SHA of the tree that produced the bundle (or `"unknown"`).
     pub git_sha: String,
-    /// Content fingerprint of the run configuration (its full `Debug`
-    /// rendering — the memo-cache key).
-    pub fingerprint: String,
     /// Number of simulated cores.
     pub cores: usize,
     /// The violation this bundle reproduces.
@@ -96,9 +95,11 @@ pub struct ReproBundle {
     /// The fault points that actually fired, per core, up to the
     /// violation — the raw material the shrinker minimizes.
     pub recorded: Vec<FaultSchedule>,
-    /// The full run configuration as ordered key/value pairs; the
-    /// simulator owns the codec in both directions.
-    pub config: Vec<(String, String)>,
+    /// The full run configuration in the simulator's canonical one-line
+    /// encoding — also its content address (`runner::fingerprint`), so
+    /// it repeats `fault` and `schedules`. The simulator owns the codec
+    /// in both directions.
+    pub config: String,
     /// Counter snapshot at the failure.
     pub stats: BundleStats,
     /// The most recent traced events as JSONL lines (empty when the run
@@ -121,29 +122,12 @@ impl ReproBundle {
         }
     }
 
-    /// Looks up a configuration value by key.
-    pub fn config_value(&self, key: &str) -> Option<&str> {
-        self.config
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Looks up a configuration value and parses it as `u64`.
-    pub fn config_u64(&self, key: &str) -> Option<u64> {
-        self.config_value(key)?.parse().ok()
-    }
-
     /// Serializes the bundle as a pretty-stable JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str(&format!("  \"version\": {},\n", self.version));
         s.push_str(&format!("  \"git_sha\": \"{}\",\n", escape(&self.git_sha)));
-        s.push_str(&format!(
-            "  \"fingerprint\": \"{}\",\n",
-            escape(&self.fingerprint)
-        ));
         s.push_str(&format!("  \"cores\": {},\n", self.cores));
         s.push_str(&format!(
             "  \"violation\": {{\"kind\": \"{}\", \"instruction\": {}, \"core\": {}, \"detail\": \"{}\"}},\n",
@@ -152,7 +136,7 @@ impl ReproBundle {
             self.violation.core,
             escape(&self.violation.detail)
         ));
-        s.push_str(&format!("  \"fault\": {},\n", fault_json(&self.fault)));
+        s.push_str(&format!("  \"fault\": {},\n", self.fault.to_json()));
         match &self.schedules {
             Some(schedules) => {
                 s.push_str("  \"schedules\": ");
@@ -164,16 +148,7 @@ impl ReproBundle {
         s.push_str("  \"recorded\": ");
         s.push_str(&schedules_json(&self.recorded, "  "));
         s.push_str(",\n");
-        s.push_str("  \"config\": [\n");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            s.push_str(&format!("    [\"{}\", \"{}\"]", escape(k), escape(v)));
-            s.push_str(if i + 1 < self.config.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ],\n");
+        s.push_str(&format!("  \"config\": \"{}\",\n", escape(&self.config)));
         let f = &self.stats.faults;
         s.push_str(&format!(
             "  \"stats\": {{\"splinters\": {}, \"promotions\": {}, \"shootdowns\": {}, \"tft_storms\": {}, \"context_switches\": {}, \"mem_pressure\": {}, \"mem_releases\": {}, \"loads_checked\": {}, \"stores_tracked\": {}, \"audits\": {}}},\n",
@@ -217,30 +192,12 @@ impl ReproBundle {
             core: u64_field(v, "core")? as usize,
             detail: str_field(v, "detail")?,
         };
-        let fault = fault_from_json(req(&doc, "fault")?)?;
+        let fault = FaultConfig::from_json(req(&doc, "fault")?)?;
         let schedules = match req(&doc, "schedules")? {
             Json::Null => None,
             other => Some(schedules_from_json(other)?),
         };
         let recorded = schedules_from_json(req(&doc, "recorded")?)?;
-        let config = req(&doc, "config")?
-            .as_array()
-            .ok_or_else(|| bad("config must be an array of [key, value] pairs"))?
-            .iter()
-            .map(|pair| {
-                let kv = pair
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| bad("config entry must be a [key, value] pair"))?;
-                let k = kv[0]
-                    .as_str()
-                    .ok_or_else(|| bad("config key must be a string"))?;
-                let v = kv[1]
-                    .as_str()
-                    .ok_or_else(|| bad("config value must be a string"))?;
-                Ok((k.to_string(), v.to_string()))
-            })
-            .collect::<Result<Vec<_>, BundleError>>()?;
         let st = req(&doc, "stats")?;
         let stats = BundleStats {
             faults: InjectionStats {
@@ -269,13 +226,12 @@ impl ReproBundle {
         Ok(ReproBundle {
             version,
             git_sha: str_field(&doc, "git_sha")?,
-            fingerprint: str_field(&doc, "fingerprint")?,
             cores: u64_field(&doc, "cores")? as usize,
             violation,
             fault,
             schedules,
             recorded,
-            config,
+            config: str_field(&doc, "config")?,
             stats,
             event_tail,
         })
@@ -295,63 +251,100 @@ fn parse_hex(s: &str) -> Result<u64, BundleError> {
     u64::from_str_radix(digits, 16).map_err(|_| bad(format!("invalid hex value {s:?}")))
 }
 
-fn fault_json(f: &FaultConfig) -> String {
-    format!(
-        "{{\"seed\": \"{}\", \"mean_interval\": {}, \"splinters\": {}, \"promotions\": {}, \"shootdowns\": {}, \"tft_storms\": {}, \"context_switches\": {}, \"mem_pressure\": {}, \"chaos\": {{\"drop_tft_invalidation_on_splinter\": {}, \"drop_promotion_sweep\": {}, \"skip_way_verification\": {}}}}}",
-        hex(f.seed),
-        f.mean_interval,
-        f.splinters,
-        f.promotions,
-        f.shootdowns,
-        f.tft_storms,
-        f.context_switches,
-        f.mem_pressure,
-        f.chaos.drop_tft_invalidation_on_splinter,
-        f.chaos.drop_promotion_sweep,
-        f.chaos.skip_way_verification,
-    )
+impl FaultConfig {
+    /// The configuration as a one-line JSON object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"seed\": \"{}\", \"mean_interval\": {}, \"splinters\": {}, \"promotions\": {}, \"shootdowns\": {}, \"tft_storms\": {}, \"context_switches\": {}, \"mem_pressure\": {}, \"chaos\": {{\"drop_tft_invalidation_on_splinter\": {}, \"drop_promotion_sweep\": {}, \"skip_way_verification\": {}}}}}",
+            hex(self.seed),
+            self.mean_interval,
+            self.splinters,
+            self.promotions,
+            self.shootdowns,
+            self.tft_storms,
+            self.context_switches,
+            self.mem_pressure,
+            self.chaos.drop_tft_invalidation_on_splinter,
+            self.chaos.drop_promotion_sweep,
+            self.chaos.skip_way_verification,
+        )
+    }
+
+    /// Reads a configuration written by [`FaultConfig::to_json`].
+    ///
+    /// # Errors
+    /// A missing or mistyped field.
+    pub fn from_json(doc: &Json) -> Result<FaultConfig, BundleError> {
+        let chaos = req(doc, "chaos")?;
+        Ok(FaultConfig {
+            seed: parse_hex(&str_field(doc, "seed")?)?,
+            mean_interval: u64_field(doc, "mean_interval")?,
+            splinters: bool_field(doc, "splinters")?,
+            promotions: bool_field(doc, "promotions")?,
+            shootdowns: bool_field(doc, "shootdowns")?,
+            tft_storms: bool_field(doc, "tft_storms")?,
+            context_switches: bool_field(doc, "context_switches")?,
+            mem_pressure: bool_field(doc, "mem_pressure")?,
+            chaos: ChaosConfig {
+                drop_tft_invalidation_on_splinter: bool_field(
+                    chaos,
+                    "drop_tft_invalidation_on_splinter",
+                )?,
+                drop_promotion_sweep: bool_field(chaos, "drop_promotion_sweep")?,
+                skip_way_verification: bool_field(chaos, "skip_way_verification")?,
+            },
+        })
+    }
 }
 
-fn fault_from_json(doc: &Json) -> Result<FaultConfig, BundleError> {
-    let chaos = req(doc, "chaos")?;
-    Ok(FaultConfig {
-        seed: parse_hex(&str_field(doc, "seed")?)?,
-        mean_interval: u64_field(doc, "mean_interval")?,
-        splinters: bool_field(doc, "splinters")?,
-        promotions: bool_field(doc, "promotions")?,
-        shootdowns: bool_field(doc, "shootdowns")?,
-        tft_storms: bool_field(doc, "tft_storms")?,
-        context_switches: bool_field(doc, "context_switches")?,
-        mem_pressure: bool_field(doc, "mem_pressure")?,
-        chaos: ChaosConfig {
-            drop_tft_invalidation_on_splinter: bool_field(
-                chaos,
-                "drop_tft_invalidation_on_splinter",
-            )?,
-            drop_promotion_sweep: bool_field(chaos, "drop_promotion_sweep")?,
-            // Absent in bundles recorded before the knob existed.
-            skip_way_verification: bool_field(chaos, "skip_way_verification").unwrap_or(false),
-        },
-    })
+impl FaultSchedule {
+    /// One core's schedule as a one-line JSON array of points.
+    pub fn to_json(&self) -> String {
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| {
+                format!(
+                    "{{\"at\": {}, \"kind\": \"{}\", \"rng_state\": \"{}\"}}",
+                    p.at,
+                    p.kind.name(),
+                    hex(p.rng_state)
+                )
+            })
+            .collect();
+        format!("[{}]", points.join(", "))
+    }
+
+    /// Reads a schedule written by [`FaultSchedule::to_json`].
+    ///
+    /// # Errors
+    /// Not an array of points, or a point with a missing, mistyped or
+    /// unknown field value.
+    pub fn from_json(doc: &Json) -> Result<FaultSchedule, BundleError> {
+        let points = doc
+            .as_array()
+            .ok_or_else(|| bad("per-core schedule must be an array of points"))?
+            .iter()
+            .map(|p| {
+                let kind = str_field(p, "kind")?;
+                Ok(FaultPoint {
+                    at: u64_field(p, "at")?,
+                    kind: FaultKind::from_name(&kind)
+                        .ok_or_else(|| bad(format!("unknown fault kind {kind:?}")))?,
+                    rng_state: parse_hex(&str_field(p, "rng_state")?)?,
+                })
+            })
+            .collect::<Result<Vec<_>, BundleError>>()?;
+        Ok(FaultSchedule::new(points))
+    }
 }
 
 fn schedules_json(schedules: &[FaultSchedule], indent: &str) -> String {
     let mut s = String::from("[\n");
     for (i, sched) in schedules.iter().enumerate() {
         s.push_str(indent);
-        s.push_str("  [");
-        for (j, p) in sched.points.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"at\": {}, \"kind\": \"{}\", \"rng_state\": \"{}\"}}",
-                p.at,
-                p.kind.name(),
-                hex(p.rng_state)
-            ));
-        }
-        s.push(']');
+        s.push_str("  ");
+        s.push_str(&sched.to_json());
         s.push_str(if i + 1 < schedules.len() { ",\n" } else { "\n" });
     }
     s.push_str(indent);
@@ -363,23 +356,7 @@ fn schedules_from_json(doc: &Json) -> Result<Vec<FaultSchedule>, BundleError> {
     doc.as_array()
         .ok_or_else(|| bad("schedules must be an array (one entry per core)"))?
         .iter()
-        .map(|core| {
-            let points = core
-                .as_array()
-                .ok_or_else(|| bad("per-core schedule must be an array of points"))?
-                .iter()
-                .map(|p| {
-                    let kind = str_field(p, "kind")?;
-                    Ok(FaultPoint {
-                        at: u64_field(p, "at")?,
-                        kind: FaultKind::from_name(&kind)
-                            .ok_or_else(|| bad(format!("unknown fault kind {kind:?}")))?,
-                        rng_state: parse_hex(&str_field(p, "rng_state")?)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, BundleError>>()?;
-            Ok(FaultSchedule::new(points))
-        })
+        .map(FaultSchedule::from_json)
         .collect()
 }
 
@@ -415,7 +392,6 @@ mod tests {
         ReproBundle {
             version: BUNDLE_VERSION,
             git_sha: "abc123def456".to_string(),
-            fingerprint: "RunConfig { workload: \"redis\" }".to_string(),
             cores: 2,
             violation: BundleViolation {
                 kind: "tft-claims-base-page".to_string(),
@@ -454,11 +430,7 @@ mod tests {
                     rng_state: 3,
                 }]),
             ],
-            config: vec![
-                ("workload".to_string(), "redis".to_string()),
-                ("instructions".to_string(), "400000".to_string()),
-                ("design".to_string(), "seesaw".to_string()),
-            ],
+            config: "workload=redis;design=seesaw;note=\"quoted\"".to_string(),
             stats: BundleStats {
                 faults: InjectionStats {
                     splinters: 2,
@@ -488,13 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_lookups() {
+    fn point_counts() {
         let bundle = sample();
         assert_eq!(bundle.recorded_points(), 3);
         assert_eq!(bundle.schedule_points(), 1, "explicit schedule wins");
-        assert_eq!(bundle.config_value("workload"), Some("redis"));
-        assert_eq!(bundle.config_u64("instructions"), Some(400_000));
-        assert_eq!(bundle.config_value("missing"), None);
         let mut seeded = bundle.clone();
         seeded.schedules = None;
         assert_eq!(seeded.schedule_points(), 3, "seeded falls back to recorded");
@@ -506,7 +475,7 @@ mod tests {
         assert!(ReproBundle::from_json("{}").is_err());
         let wrong_version = sample()
             .to_json()
-            .replace("\"version\": 1", "\"version\": 99");
+            .replace("\"version\": 2", "\"version\": 99");
         let err = ReproBundle::from_json(&wrong_version).unwrap_err();
         assert!(err.message.contains("version"), "{err}");
         let bad_kind = sample()

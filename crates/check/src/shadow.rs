@@ -523,12 +523,6 @@ impl ShadowChecker {
         Ok(())
     }
 
-    /// True if the frame containing `pa` was freed by a promotion and not
-    /// since remapped.
-    pub fn is_freed(&self, pa: u64) -> bool {
-        self.freed_frames.contains(&(pa / FRAME_BYTES))
-    }
-
     /// Summary counters so far.
     pub fn summary(&self) -> CheckerSummary {
         CheckerSummary {

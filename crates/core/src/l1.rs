@@ -29,16 +29,6 @@ impl SeesawConfig {
         Self::with_size_kb(32)
     }
 
-    /// The 64 KB, 16-way design with four partitions.
-    pub fn l1_64k() -> Self {
-        Self::with_size_kb(64)
-    }
-
-    /// The 128 KB, 32-way design with eight partitions.
-    pub fn l1_128k() -> Self {
-        Self::with_size_kb(128)
-    }
-
     /// A SEESAW design of `size_kb` KB: 64 sets, 64 B lines, enough ways
     /// to reach the capacity, 4-way partitions (§IV-B4).
     ///

@@ -67,11 +67,6 @@ impl EnergyModel {
         }
     }
 
-    /// Builds the model with custom event costs.
-    pub fn with_costs(sram: SramModel, costs: EventCosts) -> Self {
-        Self { sram, costs }
-    }
-
     /// The SRAM sub-model.
     pub fn sram(&self) -> &SramModel {
         &self.sram

@@ -24,10 +24,11 @@ use seesaw_workloads::TraceGenerator;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::config::catalog_entry;
 use crate::core::{Core, TranslationIntern};
 use crate::system::System;
 use crate::uncore::Uncore;
-use crate::{CpuKind, L1DesignKind, ProbeSource, RunConfig, SimError};
+use crate::{CpuKind, Frequency, L1DesignKind, ProbeSource, RunConfig, SimError};
 
 /// Weyl increment: decorrelates per-core seeds while leaving core 0 on
 /// the run's base seed, so `cores = 1` replays the single-core stream
@@ -174,16 +175,23 @@ pub(crate) struct MemoryImage {
     pub vma: Vma,
 }
 
-/// Cache key covering every input of [`build_memory_image`]: the full
-/// workload spec (every mixture parameter participates via `Debug`,
-/// mirroring the runner's config fingerprints), the seed, and the
-/// memhog pressure.
-pub(crate) fn memory_image_key(config: &RunConfig) -> String {
-    format!(
-        "{:?}|{}|{}",
-        config.workload, config.seed, config.memhog_percent
-    )
+/// Cache key covering every input of [`build_memory_image`]: the
+/// workload (its catalog name identifies the whole spec, since
+/// [`System::build`] refuses any other), the seed, and the memhog
+/// pressure.
+pub(crate) type ImageKey = (&'static str, u64, u32);
+
+pub(crate) fn memory_image_key(config: &RunConfig) -> ImageKey {
+    (config.workload.name, config.seed, config.memhog_percent)
 }
+
+/// Stream-cache key: the image's workload and seed, the core, and the
+/// prewarm reference count.
+pub(crate) type StreamKey = (&'static str, u64, usize, usize);
+
+/// Warmed-outer-cache key: the memory image, core count, prewarm
+/// reference count, frequency, and prefetch degree.
+pub(crate) type WarmKey = (ImageKey, usize, usize, Frequency, Option<usize>);
 
 /// Entry caps for the process-wide artifact caches. Eviction is a full
 /// clear — crude, but any eviction policy is correct (entries are pure
@@ -193,8 +201,8 @@ const MEMORY_IMAGE_CAP: usize = 32;
 pub(crate) const STREAM_CACHE_CAP: usize = 32;
 pub(crate) const WARM_OUTER_CAP: usize = 24;
 
-fn memory_images() -> &'static Mutex<HashMap<String, MemoryImage>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, MemoryImage>>> = OnceLock::new();
+fn memory_images() -> &'static Mutex<HashMap<ImageKey, MemoryImage>> {
+    static CACHE: OnceLock<Mutex<HashMap<ImageKey, MemoryImage>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -208,8 +216,8 @@ pub(crate) struct StreamArtifact {
     pub generator: TraceGenerator,
 }
 
-pub(crate) fn stream_cache() -> &'static Mutex<HashMap<String, StreamArtifact>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, StreamArtifact>>> = OnceLock::new();
+pub(crate) fn stream_cache() -> &'static Mutex<HashMap<StreamKey, StreamArtifact>> {
+    static CACHE: OnceLock<Mutex<HashMap<StreamKey, StreamArtifact>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -220,8 +228,8 @@ pub(crate) fn stream_cache() -> &'static Mutex<HashMap<String, StreamArtifact>> 
 /// and design are deliberately absent — prewarm bypasses the L1, which
 /// is what makes one warmed image servable to every design cell of a
 /// figure row.
-pub(crate) fn warm_outer_cache() -> &'static Mutex<HashMap<String, OuterHierarchy>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, OuterHierarchy>>> = OnceLock::new();
+pub(crate) fn warm_outer_cache() -> &'static Mutex<HashMap<WarmKey, OuterHierarchy>> {
+    static CACHE: OnceLock<Mutex<HashMap<WarmKey, OuterHierarchy>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -311,11 +319,16 @@ impl System {
     /// coherence probe from real peer misses and upgrades.
     ///
     /// # Errors
-    /// Returns [`SimError::Mem`] if physical memory cannot back the
-    /// workload's footprint even with base pages (the THP path already
-    /// degrades superpage failures to 4 KB fallback, counted in
+    /// Returns [`SimError::Workload`] if the workload spec differs from
+    /// its catalog entry, and [`SimError::Mem`] if physical memory cannot
+    /// back the workload's footprint even with base pages (the THP path
+    /// already degrades superpage failures to 4 KB fallback, counted in
     /// [`crate::RunResult::demotions`]).
     pub fn build(config: &RunConfig) -> Result<System, SimError> {
+        let name = config.workload.name;
+        if catalog_entry(name) != Some(config.workload) {
+            return Err(SimError::Workload { name });
+        }
         let MemoryImage { pmem, space, vma } = memory_image(config)?;
         let sram = SramModel::tsmc28_scaled_22nm();
         let n = config.cores.max(1);

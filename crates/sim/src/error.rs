@@ -33,6 +33,13 @@ pub enum SimError {
         /// The faulting virtual address.
         va: u64,
     },
+    /// The configuration's workload spec differs from the catalog entry
+    /// of the same name. Content addresses and the artifact caches name a
+    /// workload by its catalog name, so only catalog specs can run.
+    Workload {
+        /// The spec's name.
+        name: &'static str,
+    },
     /// The differential shadow checker caught an invariant violation.
     /// Boxed because the diagnostic carries the event history.
     Check(Box<Violation>),
@@ -70,18 +77,13 @@ impl SimError {
     ///
     /// Simulations are pure functions of their configuration, so every
     /// simulation-level error ([`SimError::Mem`], [`SimError::PageFault`],
-    /// [`SimError::Check`]) recurs identically on a retry — those are
-    /// *permanent*. Only harness-level failures are *transient*: a panic
-    /// may come from an exhausted resource, and a timeout from a loaded
-    /// machine or a wedged store write-back, so both earn the supervisor's
-    /// capped backoff-and-retry treatment.
+    /// [`SimError::Workload`], [`SimError::Check`]) recurs identically on
+    /// a retry — those are *permanent*. Only harness-level failures are
+    /// *transient*: a panic may come from an exhausted resource, and a
+    /// timeout from a loaded machine or a wedged store write-back, so both
+    /// earn the supervisor's capped backoff-and-retry treatment.
     pub fn is_retryable(&self) -> bool {
         matches!(self, SimError::Panic { .. } | SimError::Timeout { .. })
-    }
-
-    /// The inverse of [`SimError::is_retryable`]: retrying cannot help.
-    pub fn is_permanent(&self) -> bool {
-        !self.is_retryable()
     }
 
     /// The autosaved repro-bundle path, when this is a checker violation
@@ -103,6 +105,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::PageFault { va } => {
                 write!(f, "simulated page fault: va {va:#x} is not mapped")
+            }
+            SimError::Workload { name } => {
+                write!(f, "workload spec {name:?} differs from its catalog entry")
             }
             SimError::Check(violation) => write!(f, "{violation}"),
             SimError::Panic {

@@ -13,9 +13,9 @@
 //! Everything lives in `<store>/fabric/` as checksummed records in the
 //! store's own wire format (DESIGN.md §16 is the normative spec):
 //!
-//! * **Jobs** (`j-<digest>.rec`) — one queued cell: its label, its
-//!   configuration fingerprint, and the full `cfg.*` key/value encoding
-//!   a worker rebuilds the [`RunConfig`] from. The digest is the same
+//! * **Jobs** (`j-<digest>.rec`) — one queued cell: its label and its
+//!   configuration fingerprint, the canonical encoding a worker rebuilds
+//!   the [`RunConfig`] from (`RunConfig::decode`). The digest is the same
 //!   128-bit content digest the store files the result under, so "is
 //!   this job done?" is a file-existence check.
 //! * **Claims** (`c-<digest>.g<N>.rec`) — generation `N`'s exclusive
@@ -75,7 +75,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use seesaw_trace::{CellState, FabricWorkerStats};
 
-use crate::repro::{config_from_kv, config_kv};
 use crate::runner::{fingerprint, Plan};
 use crate::status::StatusBoard;
 use crate::store::{commit_record, digest, fnv1a64, read_record_at, record_bytes, Dec, Enc, Store};
@@ -111,10 +110,11 @@ fn env_u64(key: &str) -> Option<u64> {
 pub enum FabricError {
     /// The filesystem said no.
     Io(std::io::Error),
-    /// A cell's configuration cannot ride the fabric: its `cfg.*`
-    /// encoding does not round-trip to the same fingerprint (explicit
-    /// fault injection) or its result would never persist (captured
-    /// event traces). Run these cells in-process instead.
+    /// A cell's configuration cannot ride the fabric: it does not decode
+    /// from its fingerprint (a workload spec that differs from its
+    /// catalog entry, which no system can run either) or its result
+    /// would never persist (captured event traces). Run these cells
+    /// in-process instead.
     Unsupported {
         /// Label of the offending cell.
         label: String,
@@ -159,28 +159,18 @@ pub struct JobRecord {
     pub config: RunConfig,
 }
 
-fn encode_job(label: &str, config: &RunConfig) -> (String, String, String) {
+fn encode_job(label: &str, config: &RunConfig) -> (String, String) {
     let fp = fingerprint(config);
-    let d = digest(&fp);
     let mut e = Enc::new(&fp);
     e.s("label", label);
-    for (k, v) in config_kv(config) {
-        e.s(&format!("cfg.{k}"), &v);
-    }
-    (d, fp, e.out)
+    (digest(&fp), e.out)
 }
 
 fn decode_job(digest_hint: &str, payload: &str) -> Result<JobRecord, String> {
     let d = Dec::new(payload);
     let fp = d.s("fingerprint")?;
     let label = d.s("label")?;
-    let kv = d.with_prefix("cfg.");
-    let config = config_from_kv(&kv).map_err(|e| e.to_string())?;
-    if fingerprint(&config) != fp {
-        return Err(format!(
-            "job {digest_hint}: rebuilt config does not reproduce the recorded fingerprint"
-        ));
-    }
+    let config = RunConfig::decode(&fp).map_err(|e| format!("job {digest_hint}: {e}"))?;
     Ok(JobRecord {
         digest: digest_hint.to_string(),
         fingerprint: fp,
@@ -300,14 +290,13 @@ impl Fabric {
                     .to_string(),
             });
         }
-        let (d, fp, payload) = encode_job(label, config);
+        let (d, payload) = encode_job(label, config);
         if let Err(e) = decode_job(&d, &payload) {
             return Err(FabricError::Unsupported {
                 label: label.to_string(),
                 detail: e,
             });
         }
-        debug_assert_eq!(fp, fingerprint(config));
         let name = format!("j-{d}.rec");
         if !self.dir.join(&name).exists() {
             commit_record(&self.dir, &name, "job", &payload)?;
@@ -1055,14 +1044,22 @@ mod tests {
             fabric.enqueue("traced", &traced),
             Err(FabricError::Unsupported { .. })
         ));
-        // Explicit fault injection is dropped by the kv codec, so the
-        // rebuilt config would not reproduce the fingerprint.
-        let faulty = cell().with_faults(crate::FaultConfig::all(7));
-        assert!(matches!(
-            fabric.enqueue("faulty", &faulty),
-            Err(FabricError::Unsupported { .. })
-        ));
         assert!(fabric.job_digests().is_empty());
+        // A fault-injected cell rides the fabric: its job record carries
+        // the injector and the explicit schedules, and decodes to them.
+        let point = crate::FaultPoint {
+            at: 5_000,
+            kind: crate::FaultKind::Splinter,
+            rng_state: u64::MAX,
+        };
+        let faulty = cell()
+            .with_faults(crate::FaultConfig::all(u64::MAX - 7))
+            .with_fault_schedules(vec![crate::FaultSchedule::new(vec![point])]);
+        let d = fabric.enqueue("faulty", &faulty).expect("enqueue");
+        let job = fabric.job(&d).expect("job decodes");
+        assert_eq!(job.config.faults, faulty.faults);
+        assert_eq!(job.config.fault_schedules, faulty.fault_schedules);
+        assert_eq!(fingerprint(&job.config), fingerprint(&faulty));
         teardown(&fabric);
     }
 

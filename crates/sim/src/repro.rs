@@ -4,11 +4,11 @@
 //! simulator attaches a [`ReproBundle`] to the [`SimError::Check`] it
 //! returns (and autosaves it as JSON when `SEESAW_REPRO=<dir>` is set).
 //! The bundle pins down everything a second process needs: the full
-//! [`RunConfig`] as a key/value map (this module owns the codec in both
-//! directions), the base injector configuration with its seed, the fault
-//! points that actually fired per core, the violation summary, checker
-//! counters, the traced event tail, and provenance (git SHA, config
-//! fingerprint).
+//! [`RunConfig`] in its canonical encoding (its content address, which
+//! `RunConfig::decode` reads back), the base injector configuration
+//! with its seed, the fault points that actually fired per core, the
+//! violation summary, checker counters, the traced event tail, and
+//! provenance (git SHA).
 //!
 //! Three entry points operate on bundles:
 //!
@@ -45,15 +45,11 @@ use seesaw_check::{
     BundleViolation, FaultConfig, FaultKind, FaultPoint, FaultSchedule, InjectionStats,
     ReproBundle, Violation, BUNDLE_VERSION,
 };
-use seesaw_core::InsertionPolicy;
 use seesaw_trace::{Collect, MetricsRegistry};
-use seesaw_workloads::catalog;
 
 use crate::core::Core;
 use crate::runner::{fingerprint, Plan};
-use crate::{
-    CpuKind, Frequency, L1DesignKind, ProbeSource, RunConfig, SchedulerHintPolicy, SimError, System,
-};
+use crate::{RunConfig, SimError, System};
 
 /// How many trailing trace events a bundle captures.
 pub const EVENT_TAIL_LINES: usize = 256;
@@ -98,10 +94,6 @@ impl From<seesaw_check::BundleError> for ReproError {
     fn from(e: seesaw_check::BundleError) -> Self {
         ReproError::Bundle(e.message)
     }
-}
-
-fn cfg_err(message: impl Into<String>) -> ReproError {
-    ReproError::Config(message.into())
 }
 
 /// The tree's git SHA for bundle provenance: `SEESAW_GIT_SHA` when set
@@ -175,7 +167,6 @@ pub(crate) fn build_bundle(
     ReproBundle {
         version: BUNDLE_VERSION,
         git_sha: git_sha(),
-        fingerprint: fingerprint(config),
         cores: config.cores,
         violation: BundleViolation {
             kind: violation.kind.name().to_string(),
@@ -186,7 +177,7 @@ pub(crate) fn build_bundle(
         fault,
         schedules: config.fault_schedules.clone(),
         recorded,
-        config: config_kv(config),
+        config: fingerprint(config),
         stats: seesaw_check::BundleStats {
             faults,
             loads_checked: summary.loads_checked,
@@ -235,268 +226,12 @@ pub(crate) fn autosave(bundle: &ReproBundle) -> Option<std::path::PathBuf> {
 }
 
 // ---------------------------------------------------------------------------
-// RunConfig ↔ key/value codec
-// ---------------------------------------------------------------------------
-
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "none".to_string(),
-    }
-}
-
-fn opt_usize(v: Option<usize>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "none".to_string(),
-    }
-}
-
-/// Serializes every `RunConfig` field (except the injector state, which
-/// lives in the bundle's `fault` / `schedules` fields) as ordered
-/// key/value pairs. The exhaustive destructuring is deliberate: adding a
-/// field to `RunConfig` breaks this function at compile time, forcing
-/// the codec — both directions — to learn about it.
-pub(crate) fn config_kv(config: &RunConfig) -> Vec<(String, String)> {
-    let RunConfig {
-        workload,
-        l1_size_kb,
-        frequency,
-        cpu,
-        design,
-        cores,
-        probe_source,
-        instructions,
-        memhog_percent,
-        tft_entries,
-        seesaw_partitions,
-        insertion,
-        snoopy,
-        prefetch_degree,
-        context_switch_interval,
-        page_op_interval,
-        l1_tlb_4k_entries,
-        scheduler_hint,
-        hit_time_squash_cycles,
-        warmup_instructions,
-        sample_interval,
-        checker,
-        faults: _,
-        fault_schedules: _,
-        stop_at_instruction,
-        trace,
-        seed,
-    } = config;
-    let design = match design {
-        L1DesignKind::BaselineVipt => "baseline-vipt".to_string(),
-        L1DesignKind::BaselineWithWayPrediction => "baseline-wp".to_string(),
-        L1DesignKind::Seesaw => "seesaw".to_string(),
-        L1DesignKind::SeesawWithWayPrediction => "seesaw-wp".to_string(),
-        L1DesignKind::Pipt { ways } => format!("pipt:{ways}"),
-        L1DesignKind::Vivt { ways } => format!("vivt:{ways}"),
-        L1DesignKind::Vespa => "vespa".to_string(),
-        L1DesignKind::BaselineMicroTag => "baseline-utag".to_string(),
-    };
-    vec![
-        ("workload".to_string(), workload.name.to_string()),
-        ("l1_size_kb".to_string(), l1_size_kb.to_string()),
-        ("frequency".to_string(), frequency.label().to_string()),
-        (
-            "cpu".to_string(),
-            match cpu {
-                CpuKind::InOrder => "in-order".to_string(),
-                CpuKind::OutOfOrder => "out-of-order".to_string(),
-            },
-        ),
-        ("design".to_string(), design),
-        ("cores".to_string(), cores.to_string()),
-        (
-            "probe_source".to_string(),
-            match probe_source {
-                ProbeSource::Synthetic => "synthetic".to_string(),
-                ProbeSource::Coherence => "coherence".to_string(),
-            },
-        ),
-        ("instructions".to_string(), instructions.to_string()),
-        ("memhog_percent".to_string(), memhog_percent.to_string()),
-        ("tft_entries".to_string(), tft_entries.to_string()),
-        (
-            "seesaw_partitions".to_string(),
-            opt_usize(*seesaw_partitions),
-        ),
-        (
-            "insertion".to_string(),
-            match insertion {
-                InsertionPolicy::FourWay => "4way".to_string(),
-                InsertionPolicy::FourWayEightWay => "4way-8way".to_string(),
-            },
-        ),
-        ("snoopy".to_string(), snoopy.to_string()),
-        ("prefetch_degree".to_string(), opt_usize(*prefetch_degree)),
-        (
-            "context_switch_interval".to_string(),
-            opt_u64(*context_switch_interval),
-        ),
-        ("page_op_interval".to_string(), opt_u64(*page_op_interval)),
-        (
-            "l1_tlb_4k_entries".to_string(),
-            opt_usize(*l1_tlb_4k_entries),
-        ),
-        (
-            "scheduler_hint".to_string(),
-            match scheduler_hint {
-                SchedulerHintPolicy::Occupancy => "occupancy".to_string(),
-                SchedulerHintPolicy::AlwaysFast => "always-fast".to_string(),
-                SchedulerHintPolicy::AlwaysSlow => "always-slow".to_string(),
-            },
-        ),
-        (
-            "hit_time_squash_cycles".to_string(),
-            hit_time_squash_cycles.to_string(),
-        ),
-        (
-            "warmup_instructions".to_string(),
-            opt_u64(*warmup_instructions),
-        ),
-        ("sample_interval".to_string(), opt_u64(*sample_interval)),
-        ("checker".to_string(), checker.to_string()),
-        ("trace".to_string(), trace.to_string()),
-        (
-            "stop_at_instruction".to_string(),
-            opt_u64(*stop_at_instruction),
-        ),
-        ("seed".to_string(), format!("{seed:#x}")),
-    ]
-}
-
-fn parse_u64(key: &str, v: &str) -> Result<u64, ReproError> {
-    v.parse()
-        .map_err(|_| cfg_err(format!("key {key:?}: expected an integer, got {v:?}")))
-}
-
-fn parse_usize(key: &str, v: &str) -> Result<usize, ReproError> {
-    v.parse()
-        .map_err(|_| cfg_err(format!("key {key:?}: expected an integer, got {v:?}")))
-}
-
-fn parse_bool(key: &str, v: &str) -> Result<bool, ReproError> {
-    match v {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(cfg_err(format!(
-            "key {key:?}: expected a boolean, got {v:?}"
-        ))),
-    }
-}
-
-fn parse_opt_u64(key: &str, v: &str) -> Result<Option<u64>, ReproError> {
-    if v == "none" {
-        Ok(None)
-    } else {
-        parse_u64(key, v).map(Some)
-    }
-}
-
-fn parse_opt_usize(key: &str, v: &str) -> Result<Option<usize>, ReproError> {
-    if v == "none" {
-        Ok(None)
-    } else {
-        parse_usize(key, v).map(Some)
-    }
-}
-
-/// Rebuilds a [`RunConfig`] from a bundle's key/value pairs. The
-/// injector fields come back disabled — [`replay`] and [`shrink`]
-/// install the bundle's own `fault` / `schedules`.
-pub(crate) fn config_from_kv(kv: &[(String, String)]) -> Result<RunConfig, ReproError> {
-    let get = |key: &str| -> Result<&str, ReproError> {
-        kv.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| cfg_err(format!("missing key {key:?}")))
-    };
-    let name = get("workload")?;
-    if !catalog().iter().any(|w| w.name == name) {
-        return Err(cfg_err(format!("unknown workload {name:?}")));
-    }
-    let mut config = RunConfig::paper(name);
-    config.l1_size_kb = parse_u64("l1_size_kb", get("l1_size_kb")?)?;
-    let freq = get("frequency")?;
-    config.frequency = *Frequency::ALL
-        .iter()
-        .find(|f| f.label() == freq)
-        .ok_or_else(|| cfg_err(format!("unknown frequency {freq:?}")))?;
-    config.cpu = match get("cpu")? {
-        "in-order" => CpuKind::InOrder,
-        "out-of-order" => CpuKind::OutOfOrder,
-        other => return Err(cfg_err(format!("unknown cpu {other:?}"))),
-    };
-    let design = get("design")?;
-    config.design = match design {
-        "baseline-vipt" => L1DesignKind::BaselineVipt,
-        "baseline-wp" => L1DesignKind::BaselineWithWayPrediction,
-        "seesaw" => L1DesignKind::Seesaw,
-        "seesaw-wp" => L1DesignKind::SeesawWithWayPrediction,
-        "vespa" => L1DesignKind::Vespa,
-        "baseline-utag" => L1DesignKind::BaselineMicroTag,
-        other => match other.split_once(':') {
-            Some(("pipt", ways)) => L1DesignKind::Pipt {
-                ways: parse_usize("design", ways)?,
-            },
-            Some(("vivt", ways)) => L1DesignKind::Vivt {
-                ways: parse_usize("design", ways)?,
-            },
-            _ => return Err(cfg_err(format!("unknown design {other:?}"))),
-        },
-    };
-    config.cores = parse_usize("cores", get("cores")?)?.max(1);
-    config.probe_source = match get("probe_source")? {
-        "synthetic" => ProbeSource::Synthetic,
-        "coherence" => ProbeSource::Coherence,
-        other => return Err(cfg_err(format!("unknown probe source {other:?}"))),
-    };
-    config.instructions = parse_u64("instructions", get("instructions")?)?;
-    config.memhog_percent = parse_u64("memhog_percent", get("memhog_percent")?)? as u32;
-    config.tft_entries = parse_usize("tft_entries", get("tft_entries")?)?;
-    config.seesaw_partitions = parse_opt_usize("seesaw_partitions", get("seesaw_partitions")?)?;
-    config.insertion = match get("insertion")? {
-        "4way" => InsertionPolicy::FourWay,
-        "4way-8way" => InsertionPolicy::FourWayEightWay,
-        other => return Err(cfg_err(format!("unknown insertion policy {other:?}"))),
-    };
-    config.snoopy = parse_bool("snoopy", get("snoopy")?)?;
-    config.prefetch_degree = parse_opt_usize("prefetch_degree", get("prefetch_degree")?)?;
-    config.context_switch_interval =
-        parse_opt_u64("context_switch_interval", get("context_switch_interval")?)?;
-    config.page_op_interval = parse_opt_u64("page_op_interval", get("page_op_interval")?)?;
-    config.l1_tlb_4k_entries = parse_opt_usize("l1_tlb_4k_entries", get("l1_tlb_4k_entries")?)?;
-    config.scheduler_hint = match get("scheduler_hint")? {
-        "occupancy" => SchedulerHintPolicy::Occupancy,
-        "always-fast" => SchedulerHintPolicy::AlwaysFast,
-        "always-slow" => SchedulerHintPolicy::AlwaysSlow,
-        other => return Err(cfg_err(format!("unknown scheduler hint {other:?}"))),
-    };
-    config.hit_time_squash_cycles =
-        parse_u64("hit_time_squash_cycles", get("hit_time_squash_cycles")?)?;
-    config.warmup_instructions = parse_opt_u64("warmup_instructions", get("warmup_instructions")?)?;
-    config.sample_interval = parse_opt_u64("sample_interval", get("sample_interval")?)?;
-    config.checker = parse_bool("checker", get("checker")?)?;
-    config.trace = parse_bool("trace", get("trace")?)?;
-    config.stop_at_instruction = parse_opt_u64("stop_at_instruction", get("stop_at_instruction")?)?;
-    let seed = get("seed")?;
-    let digits = seed
-        .strip_prefix("0x")
-        .ok_or_else(|| cfg_err(format!("seed must be 0x-prefixed hex, got {seed:?}")))?;
-    config.seed =
-        u64::from_str_radix(digits, 16).map_err(|_| cfg_err(format!("invalid seed {seed:?}")))?;
-    config.faults = None;
-    config.fault_schedules = None;
-    Ok(config)
-}
-
-// ---------------------------------------------------------------------------
 // record / replay
 // ---------------------------------------------------------------------------
+
+fn decode(config: &str) -> Result<RunConfig, ReproError> {
+    RunConfig::decode(config).map_err(ReproError::Config)
+}
 
 fn run_direct(config: &RunConfig) -> Result<Option<Box<Violation>>, ReproError> {
     let outcome = System::build(config)
@@ -528,8 +263,8 @@ fn bundle_of(v: Violation) -> Result<ReproBundle, ReproError> {
 /// [`ReproError::NoViolation`] when the run completes cleanly.
 pub fn record(config: &RunConfig) -> Result<ReproBundle, ReproError> {
     if config.faults.is_none() {
-        return Err(cfg_err(
-            "record needs a fault injector (RunConfig::with_faults)",
+        return Err(ReproError::Config(
+            "record needs a fault injector (RunConfig::with_faults)".to_string(),
         ));
     }
     let mut cfg = config.clone();
@@ -562,9 +297,7 @@ pub struct ReplayReport {
 /// [`ReproError::NoViolation`] when the replay completes cleanly,
 /// [`ReproError::Mismatch`] when a *different* violation kind fired.
 pub fn replay(original: &ReproBundle) -> Result<ReplayReport, ReproError> {
-    let mut config = config_from_kv(&original.config)?;
-    config.faults = Some(original.fault);
-    config.fault_schedules = original.schedules.clone();
+    let mut config = decode(&original.config)?;
     config.checker = true;
     let v = run_direct(&config)?.ok_or(ReproError::NoViolation)?;
     let got_kind = v.kind.name().to_string();
@@ -687,11 +420,9 @@ fn to_schedules(flat: &[(usize, FaultPoint)], cores: usize) -> Vec<FaultSchedule
 /// when a minimized schedule unexpectedly stops reproducing.
 pub fn shrink(original: &ReproBundle) -> Result<ShrinkOutcome, ReproError> {
     let target = original.violation.kind.clone();
-    let mut base = config_from_kv(&original.config)?;
+    let mut base = decode(&original.config)?;
     base.checker = true;
     base.trace = false;
-    base.faults = Some(original.fault);
-    base.fault_schedules = original.schedules.clone();
     base.warmup_instructions = Some(0);
     base.stop_at_instruction = None;
     let original_budget = base.instructions;
@@ -874,57 +605,6 @@ pub fn shrink(original: &ReproBundle) -> Result<ShrinkOutcome, ReproError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_kv_round_trips_every_field() {
-        let mut cfg = RunConfig::quick("redis")
-            .design(L1DesignKind::Pipt { ways: 12 })
-            .cpu(CpuKind::InOrder)
-            .cores(3)
-            .l1_size(64)
-            .frequency(Frequency::F4_00)
-            .memhog(45)
-            .instructions(123_456)
-            .warmup(7_000)
-            .stop_at(99_999)
-            .with_checker()
-            .with_trace();
-        cfg.tft_entries = 20;
-        cfg.seesaw_partitions = Some(2);
-        cfg.insertion = InsertionPolicy::FourWayEightWay;
-        cfg.snoopy = true;
-        cfg.prefetch_degree = Some(4);
-        cfg.context_switch_interval = None;
-        cfg.page_op_interval = Some(40_000);
-        cfg.l1_tlb_4k_entries = Some(32);
-        cfg.scheduler_hint = SchedulerHintPolicy::AlwaysSlow;
-        cfg.hit_time_squash_cycles = 9;
-        cfg.sample_interval = Some(10_000);
-        cfg.seed = u64::MAX - 3; // exercises the >2^53 hex path
-
-        let back = config_from_kv(&config_kv(&cfg)).unwrap();
-        // The codec deliberately drops injector state; compare the rest
-        // via the fingerprint after aligning those two fields.
-        let mut aligned = cfg.clone();
-        aligned.faults = None;
-        aligned.fault_schedules = None;
-        assert_eq!(fingerprint(&back), fingerprint(&aligned));
-    }
-
-    #[test]
-    fn config_from_kv_rejects_unknowns() {
-        let cfg = RunConfig::quick("redis");
-        let mut kv = config_kv(&cfg);
-        kv.retain(|(k, _)| k != "seed");
-        assert!(matches!(config_from_kv(&kv), Err(ReproError::Config(_))));
-        let mut kv = config_kv(&cfg);
-        for (k, v) in kv.iter_mut() {
-            if k == "design" {
-                *v = "quantum".to_string();
-            }
-        }
-        assert!(matches!(config_from_kv(&kv), Err(ReproError::Config(_))));
-    }
 
     #[test]
     fn git_sha_is_never_empty() {

@@ -15,7 +15,7 @@
 //!   [`RunConfig`], the parallel output is bit-identical to executing the
 //!   same plan serially.
 //! * **A content-addressed memo cache.** Each config is fingerprinted
-//!   (its full `Debug` rendering — every field participates, so two
+//!   (its canonical encoding — every field participates, so two
 //!   configs collide only when they are equal) and finished
 //!   [`RunResult`]s are kept in a process-wide table. A config that
 //!   recurs — across cells of one plan, across plans, across figures in
@@ -229,12 +229,13 @@ pub fn memo_stats() -> MemoStats {
     }
 }
 
-/// The content address of a configuration: its complete `Debug`
-/// rendering. Every `RunConfig` field derives `Debug`, so the fingerprint
-/// changes whenever any knob changes and two fingerprints are equal only
-/// for equal configs — no hand-maintained hash to fall out of sync.
+/// The content address of a configuration: its canonical one-line
+/// encoding, which the `config!` schema in `config.rs` generates from the
+/// one declaration of `RunConfig`'s fields. Every field is encoded, so
+/// the fingerprint changes whenever any knob changes, and
+/// `RunConfig::decode` reads the configuration back from it.
 pub fn fingerprint(config: &RunConfig) -> String {
-    format!("{config:?}")
+    config.encode()
 }
 
 /// The worker count: `SEESAW_THREADS` when set to a positive integer,
@@ -1024,8 +1025,10 @@ impl Plan {
                         m.results.insert(key.clone(), result.clone());
                     }
                     Err(
-                        e
-                        @ (SimError::Check(_) | SimError::Mem { .. } | SimError::PageFault { .. }),
+                        e @ (SimError::Check(_)
+                        | SimError::Mem { .. }
+                        | SimError::PageFault { .. }
+                        | SimError::Workload { .. }),
                     ) => {
                         m.failures.insert(key.clone(), FailureEntry::new(e.clone()));
                     }

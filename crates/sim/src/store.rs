@@ -57,13 +57,13 @@ use crate::stats::{CoreResult, Sample};
 use crate::{RunResult, SimError};
 
 const MAGIC: &str = "seesaw-store";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Shared record IO: one wire format for every on-disk record.
 //
 // The store and the distributed fabric (`crate::fabric`) write the same
-// shape of file — `seesaw-store 2 <kind> <len> <crc16hex>\n` followed by
+// shape of file — `seesaw-store 3 <kind> <len> <crc16hex>\n` followed by
 // the payload and a trailing newline — committed via a private tmp file
 // and an atomic rename. These free helpers are the single
 // implementation; `Store` layers its journal and traffic counters on
@@ -580,22 +580,6 @@ impl<'a> Dec<'a> {
 
     pub(crate) fn s(&self, key: &str) -> Result<String, DecErr> {
         Ok(unesc(self.raw(key)?))
-    }
-
-    /// Every `(key, value)` pair whose key starts with `prefix`, with
-    /// the prefix stripped — how the fabric's job decoder walks the
-    /// open-ended `cfg.*` section.
-    pub(crate) fn with_prefix(&self, prefix: &str) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .map
-            .iter()
-            .filter_map(|(k, v)| {
-                k.strip_prefix(prefix)
-                    .map(|rest| (rest.to_string(), unesc(v)))
-            })
-            .collect();
-        out.sort();
-        out
     }
 
     fn opt_f(&self, key: &str) -> Result<Option<f64>, DecErr> {
@@ -1122,6 +1106,39 @@ mod tests {
         assert!(matches!(store.get(&fp), Some(StoredOutcome::Result(_))));
         assert_eq!((1, 0), store.verify());
         assert!(store.dir().join("journal.log").exists());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    /// A record written by the version-2 store (keyed by the old `Debug`
+    /// fingerprint) is a miss for the current store: under its own file
+    /// name nothing looks it up, and even planted under the current
+    /// address with a valid checksum its version skew makes it a counted
+    /// skip, never an error or another configuration's answer.
+    #[test]
+    fn version_2_records_are_misses() {
+        let cfg = RunConfig::quick("astar").instructions(30_000);
+        let result = System::build(&cfg).unwrap().run().unwrap();
+        let fp = fingerprint(&cfg);
+        let store = Store::open(tmp_dir("v2")).unwrap();
+        for (key, name) in [
+            (
+                format!("{cfg:?}"),
+                format!("r-{}.rec", digest(&format!("{cfg:?}"))),
+            ),
+            (fp.clone(), format!("r-{}.rec", digest(&fp))),
+        ] {
+            let payload = encode_result(&key, &result).unwrap();
+            let v2 = format!(
+                "{MAGIC} 2 result {} {:016x}\n{payload}\n",
+                payload.len(),
+                fnv1a64(payload.as_bytes())
+            );
+            fs::write(store.dir().join(name), v2).unwrap();
+        }
+        assert!(store.get(&fp).is_none());
+        assert_eq!(store.stats().corrupt, 1, "the planted record is skipped");
+        store.put_result(&fp, &result);
+        assert!(matches!(store.get(&fp), Some(StoredOutcome::Result(_))));
         let _ = fs::remove_dir_all(store.dir());
     }
 }

@@ -212,10 +212,7 @@ impl System {
         let prewarm_refs = (self.config.instructions + self.config.instructions / 2) as usize;
         const PREWARM_CHUNK: usize = 64;
         for i in 0..n {
-            let skey = format!(
-                "{:?}|{}|{}|{}",
-                self.config.workload, self.config.seed, i, prewarm_refs
-            );
+            let skey = (self.config.workload.name, self.config.seed, i, prewarm_refs);
             let cached = stream_cache()
                 .lock()
                 .expect("stream cache lock")
@@ -255,13 +252,12 @@ impl System {
         // image × cores × count × frequency × prefetch — the L1 plays no
         // part here, so one warmed image serves every L1 size and design
         // cell of a figure row as a straight clone.
-        let wkey = format!(
-            "{}|{}|{}|{:?}|{:?}",
+        let wkey = (
             memory_image_key(&self.config),
             n,
             prewarm_refs,
             self.config.frequency,
-            self.config.prefetch_degree
+            self.config.prefetch_degree,
         );
         let warmed = warm_outer_cache()
             .lock()

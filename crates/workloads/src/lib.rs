@@ -34,9 +34,7 @@
 mod generator;
 mod ifetch;
 mod spec;
-mod trace_file;
 
 pub use generator::{TraceGenerator, TraceRef};
 pub use ifetch::{IFetchConfig, IFetchGenerator};
 pub use spec::{catalog, cloud_subset, fig12_subset, WorkloadClass, WorkloadSpec};
-pub use trace_file::TraceFile;

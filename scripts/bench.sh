@@ -114,10 +114,10 @@ suite_store_hits=0
   first=1
   for bin in $bins; do
     start=$(date +%s.%N)
-    ./target/release/"$bin" "$budget" > "$tmp"
+    ./target/release/"$bin" "$budget" > "$tmp" 2>&1
     end=$(date +%s.%N)
     secs=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", b - a }')
-    # Scrape the [memo] / [store] lines the sweep binaries print
+    # Scrape the [memo] / [store] lines the sweep binaries print to stderr
     # (pure-math tables print none; report zeros for those).
     memo=$(grep '^\[memo\]' "$tmp" || true)
     hits=0; misses=0

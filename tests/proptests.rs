@@ -195,32 +195,6 @@ proptest! {
         }
     }
 
-    /// Trace files: any reference stream survives a save/load roundtrip.
-    #[test]
-    fn trace_file_roundtrips(
-        records in prop::collection::vec((any::<u32>(), any::<bool>(), 0u32..1000), 0..200),
-    ) {
-        use seesaw_workloads::{TraceFile, TraceRef};
-        let refs: Vec<TraceRef> = records
-            .into_iter()
-            .map(|(offset, is_write, gap)| TraceRef {
-                offset: u64::from(offset) * 64,
-                is_write,
-                gap: u64::from(gap),
-            })
-            .collect();
-        let trace = TraceFile::from_refs(refs);
-        let path = std::env::temp_dir().join(format!(
-            "seesaw-prop-{}-{}.sstr",
-            std::process::id(),
-            trace.refs().len(),
-        ));
-        trace.save(&path).expect("save");
-        let loaded = TraceFile::load(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        prop_assert_eq!(trace, loaded);
-    }
-
     /// The scheduler hint is monotone in occupancy: once Fast at some
     /// occupancy, it stays Fast for every higher occupancy.
     #[test]
